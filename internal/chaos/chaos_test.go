@@ -1,12 +1,14 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"strconv"
 	"testing"
 
 	"distmatch/internal/dist"
+	"distmatch/internal/golden"
 )
 
 const chaosSchedules = 100
@@ -68,8 +70,8 @@ func TestChaosSchedules(t *testing.T) {
 // backends: the full Result — slot-by-slot history included — must be
 // bit-identical, faults and all.
 func TestChaosBackendsBitIdentical(t *testing.T) {
-	seeds, _ := chaosSeeds(t, 25)
-	for _, seed := range seeds {
+	tab := golden.Open(t, "chaos")
+	for seed := uint64(0); seed < 25; seed++ {
 		rc, errC := Run(Config{Seed: seed, Backend: dist.BackendCoroutine})
 		rf, errF := Run(Config{Seed: seed, Backend: dist.BackendFlat})
 		if (errC == nil) != (errF == nil) {
@@ -81,6 +83,9 @@ func TestChaosBackendsBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(rc, rf) {
 			t.Fatalf("seed %d: results diverge across backends\ncoroutine %+v\nflat      %+v", seed, rc, rf)
 		}
+		key := fmt.Sprintf("seed=%d", seed)
+		tab.Check(t, key, golden.New().Add(*rc))
+		tab.Check(t, key, golden.New().Add(*rf))
 	}
 }
 

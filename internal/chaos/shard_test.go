@@ -1,11 +1,13 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"distmatch/internal/dist"
+	"distmatch/internal/golden"
 )
 
 const shardChaosSchedules = 40
@@ -104,12 +106,13 @@ func TestShardChaosEventTrace(t *testing.T) {
 // pipelined run: the chaos-scale differential oracle for the PR-10
 // pipeline rewrite.
 func TestShardChaosSerialBitIdentical(t *testing.T) {
-	seeds, _ := chaosSeeds(t, 8)
-	for _, seed := range seeds {
+	tab := golden.Open(t, "shard_chaos")
+	for seed := uint64(0); seed < 8; seed++ {
 		base, err := RunShards(ShardConfig{Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		tab.Check(t, fmt.Sprintf("seed=%d", seed), golden.New().Add(*base))
 		got, err := RunShards(ShardConfig{Seed: seed, Serial: true})
 		if err != nil {
 			t.Fatalf("seed %d serial: %v", seed, err)
@@ -118,6 +121,7 @@ func TestShardChaosSerialBitIdentical(t *testing.T) {
 			t.Fatalf("seed %d: serial diverges from pipelined\npipelined %+v\nserial    %+v",
 				seed, base, got)
 		}
+		tab.Check(t, fmt.Sprintf("seed=%d", seed), golden.New().Add(*got))
 	}
 }
 
@@ -125,12 +129,14 @@ func TestShardChaosSerialBitIdentical(t *testing.T) {
 // engine backends and on extra workers: the full ShardResult —
 // slot-by-slot history included — must be bit-identical.
 func TestShardChaosBackendsBitIdentical(t *testing.T) {
-	seeds, _ := chaosSeeds(t, 8)
-	for _, seed := range seeds {
+	tab := golden.Open(t, "shard_chaos")
+	for seed := uint64(0); seed < 8; seed++ {
+		key := fmt.Sprintf("seed=%d", seed)
 		base, err := RunShards(ShardConfig{Seed: seed, Backend: dist.BackendCoroutine})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		tab.Check(t, key, golden.New().Add(*base))
 		for name, cfg := range map[string]ShardConfig{
 			"flat":    {Seed: seed, Backend: dist.BackendFlat},
 			"workers": {Seed: seed, Backend: dist.BackendCoroutine, Workers: 4},
@@ -143,6 +149,7 @@ func TestShardChaosBackendsBitIdentical(t *testing.T) {
 				t.Fatalf("seed %d: %s diverges from coroutine baseline\nbase %+v\ngot  %+v",
 					seed, name, base, got)
 			}
+			tab.Check(t, key, golden.New().Add(*got))
 		}
 	}
 }

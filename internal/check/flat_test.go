@@ -7,17 +7,19 @@ package check
 // improvable matchings, with and without a live-edge mask.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/israeliitai"
 	"distmatch/internal/rng"
 )
 
-func runBoth(t *testing.T, label string, g *graph.Graph, matchedEdge []int32, probeLen int) Report {
+func runBoth(t *testing.T, tab *golden.Table, label string, g *graph.Graph, matchedEdge []int32, probeLen int) Report {
 	t.Helper()
 	blockRep := Report{ShortestAug: -2}
 	blockSt := dist.Run(g, dist.Config{Seed: 11, Profile: true}, program(matchedEdge, probeLen, &blockRep))
@@ -34,10 +36,14 @@ func runBoth(t *testing.T, label string, g *graph.Graph, matchedEdge []int32, pr
 	if !reflect.DeepEqual(blockSt.Profile, flatSt.Profile) {
 		t.Fatalf("%s: per-round profiles differ", label)
 	}
+	key := fmt.Sprintf("%s/probe=%d", label, probeLen)
+	tab.Check(t, key, golden.New().Add(blockRep).Stats(blockSt))
+	tab.Check(t, key, golden.New().Add(flatRep).Stats(flatSt))
 	return flatRep
 }
 
 func TestFlatMatchesBlocking(t *testing.T) {
+	tab := golden.Open(t, "check")
 	for _, probe := range []int{0, 3, 5} {
 		// A maximal matching from Israeli–Itai on a bipartite graph.
 		g := gen.BipartiteGnp(rng.New(5), 14, 12, 0.25)
@@ -46,7 +52,7 @@ func TestFlatMatchesBlocking(t *testing.T) {
 		for v := range me {
 			me[v] = int32(m.MatchedEdge(v))
 		}
-		rep := runBoth(t, "maximal", g, me, probe)
+		rep := runBoth(t, tab, "maximal", g, me, probe)
 		if !rep.Valid || !rep.Maximal {
 			t.Fatalf("probe=%d: maximal matching rejected: %+v", probe, rep)
 		}
@@ -58,7 +64,7 @@ func TestFlatMatchesBlocking(t *testing.T) {
 		for v := range empty {
 			empty[v] = -1
 		}
-		rep = runBoth(t, "empty", g, empty, probe)
+		rep = runBoth(t, tab, "empty", g, empty, probe)
 		if g.M() > 0 && (rep.Maximal || (probe > 0 && rep.ShortestAug != 1)) {
 			t.Fatalf("probe=%d: empty matching misjudged: %+v", probe, rep)
 		}
@@ -72,7 +78,7 @@ func TestFlatMatchesBlocking(t *testing.T) {
 		if g.M() > 0 {
 			x, _ := g.Endpoints(0)
 			bad[x] = 0 // one endpoint claims edge 0, the other doesn't
-			rep = runBoth(t, "asymmetric", g, bad, probe)
+			rep = runBoth(t, tab, "asymmetric", g, bad, probe)
 			if rep.Valid {
 				t.Fatalf("probe=%d: asymmetric assignment accepted", probe)
 			}
@@ -84,7 +90,7 @@ func TestFlatMatchesBlocking(t *testing.T) {
 		for v := range none {
 			none[v] = -1
 		}
-		rep = runBoth(t, "nonbipartite", ng, none, probe)
+		rep = runBoth(t, tab, "nonbipartite", ng, none, probe)
 		if rep.ShortestAug != -2 {
 			t.Fatalf("probe=%d: Berge probe ran on a non-bipartite graph", probe)
 		}
@@ -107,6 +113,7 @@ func TestFlatMatchesBlockingOnRunner(t *testing.T) {
 	x, y := g.Endpoints(1)
 	me[x], me[y] = 1, 1
 
+	tab := golden.Open(t, "check_runner")
 	for _, deadMatched := range []bool{false, true} {
 		r := dist.NewRunner(g, dist.Config{Profile: true})
 		r.SetEdgeLive(0, false)
@@ -126,6 +133,9 @@ func TestFlatMatchesBlockingOnRunner(t *testing.T) {
 		if !reflect.DeepEqual(blockSt.Profile, flatSt.Profile) {
 			t.Fatalf("deadMatched=%v: profiles differ", deadMatched)
 		}
+		key := fmt.Sprintf("dead=%v", deadMatched)
+		tab.Check(t, key, golden.New().Add(blockRep).Stats(blockSt))
+		tab.Check(t, key, golden.New().Add(flatRep).Stats(flatSt))
 		if flatRep.Valid != !deadMatched {
 			t.Fatalf("deadMatched=%v: Valid=%v", deadMatched, flatRep.Valid)
 		}

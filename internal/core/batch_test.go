@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
@@ -34,6 +36,7 @@ func sameMatching(t *testing.T, label string, g *graph.Graph, got, want *graph.M
 func TestBipartiteMCMSeedsMatchesFresh(t *testing.T) {
 	g := gen.BipartiteGnp(rng.New(41), 24, 20, 0.15)
 	seeds := []uint64{3, 17, 92, 12345}
+	tab := golden.Open(t, "bipartite_seeds")
 	for _, be := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
 		cfg := dist.Config{Backend: be}
 		ms, sts := BipartiteMCMSeeds(g, 3, cfg, seeds, true)
@@ -41,6 +44,7 @@ func TestBipartiteMCMSeedsMatchesFresh(t *testing.T) {
 			wm, wst := BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: be}, true)
 			sameMatching(t, be.String(), g, ms[i], wm)
 			sameStats(t, be.String(), sts[i], wst)
+			tab.Check(t, fmt.Sprintf("seed=%d", seed), runDigest(g, ms[i], sts[i]))
 		}
 	}
 }
@@ -49,6 +53,7 @@ func TestGeneralMCMSeedsMatchesFresh(t *testing.T) {
 	g := gen.Gnp(rng.New(42), 24, 0.2)
 	seeds := []uint64{5, 77, 3021}
 	opts := GeneralOptions{Oracle: true, IdleStop: 10}
+	tab := golden.Open(t, "general_seeds")
 	for _, be := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
 		cfg := dist.Config{Backend: be}
 		ms, sts := GeneralMCMSeeds(g, 3, cfg, seeds, opts)
@@ -56,6 +61,7 @@ func TestGeneralMCMSeedsMatchesFresh(t *testing.T) {
 			wm, wst := GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: be}, opts)
 			sameMatching(t, be.String(), g, ms[i], wm)
 			sameStats(t, be.String(), sts[i], wst)
+			tab.Check(t, fmt.Sprintf("seed=%d", seed), runDigest(g, ms[i], sts[i]))
 		}
 	}
 }
@@ -65,6 +71,7 @@ func TestGeneralMCMSeedsMatchesFresh(t *testing.T) {
 // same draws, bit-identical output on both backends.
 func TestRepairFullRegionMatchesMCM(t *testing.T) {
 	g := gen.BipartiteGnp(rng.New(43), 20, 20, 0.18)
+	tab := golden.Open(t, "repair_full")
 	for _, be := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
 		r := dist.NewRunner(g, dist.Config{Backend: be})
 		matchedEdge := make([]int32, g.N())
@@ -76,6 +83,7 @@ func TestRepairFullRegionMatchesMCM(t *testing.T) {
 		want, wst := BipartiteMCMWithConfig(g, 3, dist.Config{Seed: 9, Backend: be}, true)
 		sameMatching(t, be.String(), g, got, want)
 		sameStats(t, be.String(), st, wst)
+		tab.Check(t, "full", runDigest(g, got, st))
 		r.Close()
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
@@ -24,16 +25,19 @@ func TestFlatMatchesCoroutineGeneric(t *testing.T) {
 		"edgeless": graph.NewBuilder(3).MustBuild(),
 	}
 	eps := 0.5 // k = 2: phases ℓ = 1, 3 with flood radius 6
+	tab := golden.Open(t, "generic")
 	for name, g := range tops {
 		for _, oracle := range []bool{true, false} {
 			label := modeLabel(name, oracle)
 			cm, cst := GenericMCMWithConfig(g, eps,
 				dist.Config{Seed: 13, Profile: true, Backend: dist.BackendCoroutine}, oracle)
+			tab.Check(t, label, runDigest(g, cm, cst))
 			for _, workers := range []int{1, 3} {
 				fm, fst := GenericMCMWithConfig(g, eps,
 					dist.Config{Seed: 13, Profile: true, Workers: workers, Backend: dist.BackendFlat}, oracle)
 				matchingsEqual(t, label, g, cm, fm)
 				statsEqual(t, label, cst, fst)
+				tab.Check(t, label, runDigest(g, fm, fst))
 			}
 		}
 	}

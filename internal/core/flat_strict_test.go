@@ -9,11 +9,13 @@ package core
 // flat_strict.go or bipartite_strict.go.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
@@ -27,20 +29,24 @@ func TestFlatMatchesCoroutineStrict(t *testing.T) {
 		"star":     gen.Star(12),
 		"edgeless": graph.NewBuilder(5).MustBuild(),
 	}
+	tab := golden.Open(t, "strict")
 	for name, g := range tops {
 		for _, capacity := range []int{1, 3, 8} {
 			for _, oracle := range []bool{true, false} {
 				label := modeLabel(name, oracle)
+				key := fmt.Sprintf("%s/cap=%d", label, capacity)
 				cm, cst := BipartiteMCMStrictWithConfig(g, 2,
 					dist.Config{Seed: 19, Profile: true, Backend: dist.BackendCoroutine}, capacity, oracle)
 				if cst.MaxMessageBits > capacity {
 					t.Fatalf("%s/cap=%d: coroutine peak width %d exceeds capacity", label, capacity, cst.MaxMessageBits)
 				}
+				tab.Check(t, key, runDigest(g, cm, cst))
 				for _, workers := range []int{1, 3, 8} {
 					fm, fst := BipartiteMCMStrictWithConfig(g, 2,
 						dist.Config{Seed: 19, Profile: true, Workers: workers, Backend: dist.BackendFlat}, capacity, oracle)
 					matchingsEqual(t, label, g, cm, fm)
 					statsEqual(t, label, cst, fst)
+					tab.Check(t, key, runDigest(g, fm, fst))
 				}
 			}
 		}
@@ -55,17 +61,20 @@ func TestFlatMatchesCoroutineGeneralStrict(t *testing.T) {
 		"gnp":   gen.Gnp(rng.New(43), 18, 0.25),
 		"cycle": gen.Cycle(15), // odd cycle: genuinely non-bipartite
 	}
+	tab := golden.Open(t, "general_strict")
 	for name, g := range tops {
 		for _, oracle := range []bool{true, false} {
 			opts := GeneralOptions{Iters: 12, IdleStop: 6, Oracle: oracle, StrictCapacityBits: 6}
 			label := modeLabel(name, oracle)
 			cm, cst := GeneralMCMWithConfig(g, 3,
 				dist.Config{Seed: 23, Profile: true, Backend: dist.BackendCoroutine}, opts)
+			tab.Check(t, label, runDigest(g, cm, cst))
 			for _, workers := range []int{1, 4} {
 				fm, fst := GeneralMCMWithConfig(g, 3,
 					dist.Config{Seed: 23, Profile: true, Workers: workers, Backend: dist.BackendFlat}, opts)
 				matchingsEqual(t, label, g, cm, fm)
 				statsEqual(t, label, cst, fst)
+				tab.Check(t, label, runDigest(g, fm, fst))
 			}
 		}
 	}
@@ -87,7 +96,9 @@ func TestFlatMatchesCoroutineStrictFaulted(t *testing.T) {
 			matched[nd.ID()] = int32(nd.EdgeID(st.MatchedPort))
 		}
 	}
+	tab := golden.Open(t, "strict_faulted")
 	for _, planSeed := range []uint64{1, 2, 3} {
+		key := fmt.Sprintf("plan=%d", planSeed)
 		plan := dist.RandomFaultPlan(planSeed, g.N(), g.M(), dist.FaultProfile{Rounds: 40, Crashes: 3})
 		cmatched := make([]int32, g.N())
 		for i := range cmatched {
@@ -98,6 +109,7 @@ func TestFlatMatchesCoroutineStrictFaulted(t *testing.T) {
 			runPhasesStrict(nd, st, nd.Side(), true, allPorts, k, true, capacity)
 			outcome(nd, st, cmatched)
 		})
+		tab.Check(t, key, golden.New().Add(cmatched).Stats(cst))
 		for _, workers := range []int{1, 6} {
 			fmatched := make([]int32, g.N())
 			for i := range fmatched {
@@ -122,6 +134,7 @@ func TestFlatMatchesCoroutineStrictFaulted(t *testing.T) {
 			if cst.CrashedNodes != fst.CrashedNodes || cst.SuppressedMessages != fst.SuppressedMessages {
 				t.Fatalf("plan %d: fault accounting differs: coro %v vs flat %v", planSeed, cst, fst)
 			}
+			tab.Check(t, key, golden.New().Add(fmatched).Stats(fst))
 		}
 	}
 }

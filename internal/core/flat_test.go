@@ -7,14 +7,22 @@ package core
 // counts. Any divergence is a transliteration bug in flat*.go.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
+
+// runDigest folds one run's observable outcome — matching plus Stats —
+// into a golden digest.
+func runDigest(g *graph.Graph, m *graph.Matching, st *dist.Stats) *golden.Digest {
+	return golden.New().Matching(g, m).Stats(st)
+}
 
 func statsEqual(t *testing.T, label string, coro, flat *dist.Stats) {
 	t.Helper()
@@ -53,17 +61,21 @@ func TestFlatMatchesCoroutineBipartite(t *testing.T) {
 		"cycle":    gen.Cycle(32),
 		"edgeless": graph.NewBuilder(5).MustBuild(),
 	}
+	tab := golden.Open(t, "bipartite")
 	for name, g := range tops {
 		for _, k := range []int{1, 3} {
 			for _, oracle := range []bool{true, false} {
 				label := modeLabel(name, oracle)
+				key := fmt.Sprintf("%s/k=%d", label, k)
 				cm, cst := BipartiteMCMWithConfig(g, k,
 					dist.Config{Seed: 97, Profile: true, Backend: dist.BackendCoroutine}, oracle)
+				tab.Check(t, key, runDigest(g, cm, cst))
 				for _, workers := range []int{1, 3, 8} {
 					fm, fst := BipartiteMCMWithConfig(g, k,
 						dist.Config{Seed: 97, Profile: true, Workers: workers, Backend: dist.BackendFlat}, oracle)
 					matchingsEqual(t, label, g, cm, fm)
 					statsEqual(t, label, cst, fst)
+					tab.Check(t, key, runDigest(g, fm, fst))
 				}
 			}
 		}
@@ -78,18 +90,22 @@ func TestFlatMatchesCoroutineGeneral(t *testing.T) {
 		"cycle":    gen.Cycle(21), // odd cycle: genuinely non-bipartite
 		"edgeless": graph.NewBuilder(4).MustBuild(),
 	}
+	tab := golden.Open(t, "general")
 	for name, g := range tops {
 		for _, oracle := range []bool{true, false} {
 			for _, idle := range []int{0, 6} {
 				opts := GeneralOptions{Iters: 30, IdleStop: idle, Oracle: oracle}
 				label := modeLabel(name, oracle)
+				key := fmt.Sprintf("%s/idle=%d", label, idle)
 				cm, cst := GeneralMCMWithConfig(g, 3,
 					dist.Config{Seed: 55, Profile: true, Backend: dist.BackendCoroutine}, opts)
+				tab.Check(t, key, runDigest(g, cm, cst))
 				for _, workers := range []int{1, 4} {
 					fm, fst := GeneralMCMWithConfig(g, 3,
 						dist.Config{Seed: 55, Profile: true, Workers: workers, Backend: dist.BackendFlat}, opts)
 					matchingsEqual(t, label, g, cm, fm)
 					statsEqual(t, label, cst, fst)
+					tab.Check(t, key, runDigest(g, fm, fst))
 				}
 			}
 		}
@@ -107,12 +123,21 @@ func TestFlatMatchesCoroutineWeighted(t *testing.T) {
 		"edgeless":    graph.NewBuilder(3).MustBuild(),
 	}
 	eps := 0.25
+	tab := golden.Open(t, "weighted")
+	digest := func(g *graph.Graph, m *graph.Matching, st *dist.Stats, trace []*graph.Matching) *golden.Digest {
+		d := runDigest(g, m, st)
+		for _, tm := range trace {
+			d.Matching(g, tm)
+		}
+		return d
+	}
 	for name, g := range tops {
 		for _, oracle := range []bool{true, false} {
 			label := modeLabel(name, oracle)
 			ctrace := make([]*graph.Matching, WeightedIters(eps)+1)
 			cm, cst := WeightedMWMWithConfig(g,
 				dist.Config{Seed: 77, Profile: true, Backend: dist.BackendCoroutine}, eps, oracle, ctrace)
+			tab.Check(t, label, digest(g, cm, cst, ctrace))
 			for _, workers := range []int{1, 5} {
 				ftrace := make([]*graph.Matching, WeightedIters(eps)+1)
 				fm, fst := WeightedMWMWithConfig(g,
@@ -122,6 +147,7 @@ func TestFlatMatchesCoroutineWeighted(t *testing.T) {
 				for i := range ctrace {
 					matchingsEqual(t, label+"/trace", g, ctrace[i], ftrace[i])
 				}
+				tab.Check(t, label, digest(g, fm, fst, ftrace))
 			}
 		}
 	}

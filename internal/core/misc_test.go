@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
@@ -24,6 +26,34 @@ func TestCountPathsExactRoundCount(t *testing.T) {
 		_, stats := CountPaths(g, m, ell)
 		if stats.Rounds != ell {
 			t.Fatalf("ell=%d: %d rounds", ell, stats.Rounds)
+		}
+	}
+}
+
+// TestCountPathsGolden pins CountPaths' per-node counts and Stats on
+// empty, maximal and hand-built matchings to committed digests.
+func TestCountPathsGolden(t *testing.T) {
+	fig, figM, _, _ := gen.Figure1Instance()
+	cases := map[string]struct {
+		g *graph.Graph
+		m *graph.Matching
+	}{
+		"figure1": {fig, figM},
+		"kbb44":   {gen.CompleteBipartite(4, 4), graph.NewMatching(8)},
+		"path":    {gen.Path(15), greedyMaximal(gen.Path(15))},
+	}
+	for trial := 0; trial < 4; trial++ {
+		g := gen.BipartiteGnp(rng.New(70).Fork(uint64(trial)), 6, 6, 0.35)
+		cases[fmt.Sprintf("gnp%d", trial)] = struct {
+			g *graph.Graph
+			m *graph.Matching
+		}{g, greedyMaximal(g)}
+	}
+	tab := golden.Open(t, "countpaths")
+	for name, c := range cases {
+		for _, ell := range []int{1, 3, 5} {
+			counts, st := CountPaths(c.g, c.m, ell)
+			tab.Check(t, fmt.Sprintf("%s/ell=%d", name, ell), golden.New().Add(counts).Stats(st))
 		}
 	}
 }

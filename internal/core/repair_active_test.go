@@ -9,11 +9,13 @@ package core
 // Maintainer relies on for every incremental Apply.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
@@ -42,6 +44,14 @@ func TestRepairActiveSetConformance(t *testing.T) {
 		"gnp":   gen.BipartiteGnp(rng.New(71), 18, 16, 0.2),
 		"dense": gen.BipartiteGnp(rng.New(72), 10, 10, 0.5),
 		"path":  gen.Path(23),
+	}
+	tab := golden.Open(t, "repair_active")
+	digest := func(matched []int32, sts []*dist.Stats) *golden.Digest {
+		d := golden.New().Add(matched)
+		for _, st := range sts {
+			d.Stats(st)
+		}
+		return d
 	}
 	for name, g := range tops {
 		if g.M() == 0 {
@@ -80,6 +90,8 @@ func TestRepairActiveSetConformance(t *testing.T) {
 					}
 					fullM, fullSt := runRepairs(false)
 					actM, actSt := runRepairs(true)
+					tab.Check(t, fmt.Sprintf("%s/k=%d/full", name, k), digest(fullM, fullSt))
+					tab.Check(t, fmt.Sprintf("%s/k=%d/active", name, k), digest(actM, actSt))
 					if !reflect.DeepEqual(fullM, actM) {
 						t.Fatalf("%s k=%d w=%d %v: matchings diverge\nfull %v\nact  %v",
 							label, k, workers, backend, fullM, actM)

@@ -13,6 +13,7 @@ import (
 	"distmatch/internal/dist"
 	"distmatch/internal/exact"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
@@ -154,6 +155,9 @@ func TestPropertyBackendsAgree(t *testing.T) {
 			t.Fatalf("backends diverge at step %d:\n  coro %s\n  flat %s", i, hc[i], hf[i])
 		}
 	}
+	tab := golden.Open(t, "property_history")
+	tab.Check(t, "history", golden.New().Add(hc))
+	tab.Check(t, "history", golden.New().Add(hf))
 }
 
 func matchKey(g *graph.Graph, m *graph.Matching) string {

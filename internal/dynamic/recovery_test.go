@@ -11,6 +11,7 @@ import (
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/rng"
 )
 
@@ -212,6 +213,9 @@ func TestRecoveryBackendsAgree(t *testing.T) {
 			t.Fatalf("histories diverge at %d: %q vs %q", i, hc[i], hf[i])
 		}
 	}
+	tab := golden.Open(t, "recovery_history")
+	tab.Check(t, "history", golden.New().Add(hc))
+	tab.Check(t, "history", golden.New().Add(hf))
 }
 
 // TestRecoveryCrashNode pins the serving-layer crash entry point: every

@@ -1,11 +1,13 @@
 package israeliitai
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/rng"
 )
 
@@ -14,6 +16,7 @@ import (
 func TestRunSeedsMatchesRun(t *testing.T) {
 	g := gen.Gnm(rng.New(91), 120, 360)
 	seeds := []uint64{3, 1, 4, 1, 5, 9} // repeats on purpose
+	tab := golden.Open(t, "israeliitai_seeds")
 	for _, oracle := range []bool{true, false} {
 		for _, backend := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
 			for _, workers := range []int{1, 4} {
@@ -34,6 +37,7 @@ func TestRunSeedsMatchesRun(t *testing.T) {
 					if !reflect.DeepEqual(wst.Profile, sts[i].Profile) {
 						t.Fatalf("backend=%v workers=%d seed=%d: profiles differ", backend, workers, seed)
 					}
+					tab.Check(t, fmt.Sprintf("oracle=%v/seed=%d", oracle, seed), runDigest(g, ms[i], sts[i]))
 				}
 			}
 		}

@@ -1,11 +1,13 @@
 package israeliitai
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
@@ -48,6 +50,11 @@ func statsEqual(t *testing.T, label string, coro, flat *dist.Stats) {
 	}
 }
 
+// runDigest folds one run's matching and Stats into a golden digest.
+func runDigest(g *graph.Graph, m *graph.Matching, st *dist.Stats) *golden.Digest {
+	return golden.New().Matching(g, m).Stats(st)
+}
+
 func matchingsEqual(t *testing.T, label string, g *graph.Graph, a, b *graph.Matching) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Edges(g), b.Edges(g)) {
@@ -59,21 +66,24 @@ func matchingsEqual(t *testing.T, label string, g *graph.Graph, a, b *graph.Matc
 // Israeli–Itai: same seed ⇒ bit-identical matching and identical Stats on
 // every topology, in both termination modes, at multiple worker counts.
 func TestFlatMatchesCoroutine(t *testing.T) {
+	tab := golden.Open(t, "israeliitai")
 	for name, g := range diffTopologies(t) {
 		for _, oracle := range []bool{true, false} {
+			label := name
+			if oracle {
+				label += "/oracle"
+			} else {
+				label += "/budget"
+			}
 			cfg := dist.Config{Seed: 99, Profile: true, Backend: dist.BackendCoroutine}
 			cm, cst := RunWithConfig(g, cfg, oracle)
+			tab.Check(t, label, runDigest(g, cm, cst))
 			for _, workers := range []int{1, 2, 3, 8} {
 				cfg := dist.Config{Seed: 99, Profile: true, Workers: workers, Backend: dist.BackendFlat}
 				fm, fst := RunWithConfig(g, cfg, oracle)
-				label := name
-				if oracle {
-					label += "/oracle"
-				} else {
-					label += "/budget"
-				}
 				matchingsEqual(t, label, g, cm, fm)
 				statsEqual(t, label, cst, fst)
+				tab.Check(t, label, runDigest(g, fm, fst))
 			}
 		}
 	}
@@ -83,11 +93,15 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 // substrate) including tiny budgets where many nodes stay free.
 func TestFlatRunBudgetMatches(t *testing.T) {
 	g := gen.RandomTree(rng.New(21), 300)
+	tab := golden.Open(t, "israeliitai_budget")
 	for _, iters := range []int{1, 2, 5} {
+		key := fmt.Sprintf("iters=%d", iters)
 		cm, cst := runBackend(g, dist.Config{Seed: 5, Backend: dist.BackendCoroutine}, iters, false)
 		fm, fst := runBackend(g, dist.Config{Seed: 5, Backend: dist.BackendFlat, Workers: 3}, iters, false)
 		matchingsEqual(t, "tree", g, cm, fm)
 		statsEqual(t, "tree", cst, fst)
+		tab.Check(t, key, runDigest(g, cm, cst))
+		tab.Check(t, key, runDigest(g, fm, fst))
 	}
 }
 

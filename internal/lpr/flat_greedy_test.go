@@ -6,6 +6,7 @@ import (
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
@@ -22,6 +23,7 @@ func TestFlatGreedyMatchesCoroutine(t *testing.T) {
 		"unit":        gen.Cycle(48),
 		"edgeless":    graph.NewBuilder(4).MustBuild(),
 	}
+	tab := golden.Open(t, "local_greedy")
 	for name, g := range tops {
 		for _, mode := range []struct {
 			label    string
@@ -35,6 +37,7 @@ func TestFlatGreedyMatchesCoroutine(t *testing.T) {
 			label := name + "/" + mode.label
 			cm, cst := LocalGreedyWithConfig(g,
 				dist.Config{Seed: 19, Profile: true, Backend: dist.BackendCoroutine}, mode.maxIters, mode.oracle)
+			tab.Check(t, label, runDigest(g, cm, cst))
 			for _, workers := range []int{1, 3, 8} {
 				fm, fst := LocalGreedyWithConfig(g,
 					dist.Config{Seed: 19, Profile: true, Workers: workers, Backend: dist.BackendFlat}, mode.maxIters, mode.oracle)
@@ -42,6 +45,7 @@ func TestFlatGreedyMatchesCoroutine(t *testing.T) {
 					t.Fatalf("%s: matchings differ: %v vs %v", label, cm.Edges(g), fm.Edges(g))
 				}
 				statsEqual(t, label, cst, fst)
+				tab.Check(t, label, runDigest(g, fm, fst))
 			}
 		}
 	}

@@ -6,9 +6,15 @@ import (
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
+
+// runDigest folds one run's matching and Stats into a golden digest.
+func runDigest(g *graph.Graph, m *graph.Matching, st *dist.Stats) *golden.Digest {
+	return golden.New().Matching(g, m).Stats(st)
+}
 
 func statsEqual(t *testing.T, label string, coro, flat *dist.Stats) {
 	t.Helper()
@@ -35,21 +41,24 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 		"unit":        gen.Cycle(64), // all weights 1: a single weight class
 		"edgeless":    graph.NewBuilder(4).MustBuild(),
 	}
+	tab := golden.Open(t, "lpr")
 	for name, g := range tops {
 		for _, oracle := range []bool{true, false} {
+			label := name
+			if oracle {
+				label += "/oracle"
+			} else {
+				label += "/budget"
+			}
 			cm, cst := RunWithConfig(g, dist.Config{Seed: 88, Profile: true, Backend: dist.BackendCoroutine}, 0.1, oracle)
+			tab.Check(t, label, runDigest(g, cm, cst))
 			for _, workers := range []int{1, 3, 8} {
 				fm, fst := RunWithConfig(g, dist.Config{Seed: 88, Profile: true, Workers: workers, Backend: dist.BackendFlat}, 0.1, oracle)
-				label := name
-				if oracle {
-					label += "/oracle"
-				} else {
-					label += "/budget"
-				}
 				if !reflect.DeepEqual(cm.Edges(g), fm.Edges(g)) {
 					t.Fatalf("%s: matchings differ: %v vs %v", label, cm.Edges(g), fm.Edges(g))
 				}
 				statsEqual(t, label, cst, fst)
+				tab.Check(t, label, runDigest(g, fm, fst))
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"distmatch/internal/dist"
 	"distmatch/internal/gen"
+	"distmatch/internal/golden"
 	"distmatch/internal/graph"
 	"distmatch/internal/rng"
 )
@@ -36,21 +37,24 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 		"edgeless":    graph.NewBuilder(6).MustBuild(),
 		"single-node": graph.NewBuilder(1).MustBuild(),
 	}
+	tab := golden.Open(t, "mis")
 	for name, g := range tops {
 		for _, oracle := range []bool{true, false} {
+			label := name
+			if oracle {
+				label += "/oracle"
+			} else {
+				label += "/budget"
+			}
 			cm, cst := RunWithConfig(g, dist.Config{Seed: 77, Profile: true, Backend: dist.BackendCoroutine}, oracle)
+			tab.Check(t, label, golden.New().Add(cm).Stats(cst))
 			for _, workers := range []int{1, 3, 8} {
 				fm, fst := RunWithConfig(g, dist.Config{Seed: 77, Profile: true, Workers: workers, Backend: dist.BackendFlat}, oracle)
-				label := name
-				if oracle {
-					label += "/oracle"
-				} else {
-					label += "/budget"
-				}
 				if !reflect.DeepEqual(cm, fm) {
 					t.Fatalf("%s: membership vectors differ", label)
 				}
 				statsEqual(t, label, cst, fst)
+				tab.Check(t, label, golden.New().Add(fm).Stats(fst))
 			}
 		}
 	}

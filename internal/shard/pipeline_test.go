@@ -9,6 +9,7 @@ import (
 
 	"distmatch/internal/dist"
 	"distmatch/internal/dynamic"
+	"distmatch/internal/golden"
 	"distmatch/internal/rng"
 	"distmatch/internal/telemetry"
 )
@@ -224,7 +225,9 @@ func runPipelineSchedule(t *testing.T, serial bool, workers int) ([]Report, []in
 // Reports, matchings and event traces to the Serial pool (inline
 // commits, full rescans — the PR-8/9 semantics), across worker counts.
 func TestPoolSerialPipelinedEquivalent(t *testing.T) {
+	tab := golden.Open(t, "pool_schedule")
 	repsS, matchS, traceS := runPipelineSchedule(t, true, 0)
+	tab.Check(t, "schedule", golden.New().Add(repsS, matchS, traceS))
 	for _, workers := range []int{0, 2} {
 		repsP, matchP, traceP := runPipelineSchedule(t, false, workers)
 		if !reflect.DeepEqual(repsP, repsS) {
@@ -243,6 +246,7 @@ func TestPoolSerialPipelinedEquivalent(t *testing.T) {
 			t.Fatalf("workers=%d event trace diverged:\npipelined:\n%s\nserial:\n%s",
 				workers, strings.Join(traceP, "\n"), strings.Join(traceS, "\n"))
 		}
+		tab.Check(t, "schedule", golden.New().Add(repsP, matchP, traceP))
 	}
 }
 
