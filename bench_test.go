@@ -201,9 +201,8 @@ func BenchmarkAlgWeighted(b *testing.B) {
 	}
 }
 
-// benchProtocol times one protocol at a fixed backend and reports
-// node-rounds/s so the flat-vs-coroutine speedup is directly comparable
-// (scripts/bench_compare.sh records the pairs into BENCH_pr2.json).
+// benchProtocol times one protocol and reports node-rounds/s
+// (scripts/bench_compare.sh records them).
 func benchProtocol(b *testing.B, n int, run func(seed uint64) *dist.Stats) {
 	b.Helper()
 	b.ResetTimer()
@@ -216,42 +215,22 @@ func benchProtocol(b *testing.B, n int, run func(seed uint64) *dist.Stats) {
 
 func israeliItaiWorkload() *Graph { return gen.Gnm(rng.New(5), 4096, 16384) }
 
-// BenchmarkAlgIsraeliItai measures the baseline maximal matching (n=4096)
-// on the default backend (flat).
+// BenchmarkAlgIsraeliItai measures the baseline maximal matching (n=4096).
 func BenchmarkAlgIsraeliItai(b *testing.B) {
 	g := israeliItaiWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := israeliitai.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendFlat}, true)
-		return st
-	})
-}
-
-// BenchmarkAlgIsraeliItaiCoro is the same workload on the coroutine
-// backend — the flat-speedup denominator.
-func BenchmarkAlgIsraeliItaiCoro(b *testing.B) {
-	g := israeliItaiWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := israeliitai.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, true)
+		_, st := israeliitai.RunWithConfig(g, dist.Config{Seed: seed}, true)
 		return st
 	})
 }
 
 func misWorkload() *Graph { return gen.Gnm(rng.New(13), 4096, 16384) }
 
-// BenchmarkAlgMIS measures Luby's MIS (n=4096) on the flat backend.
+// BenchmarkAlgMIS measures Luby's MIS (n=4096).
 func BenchmarkAlgMIS(b *testing.B) {
 	g := misWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := mis.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendFlat}, true)
-		return st
-	})
-}
-
-// BenchmarkAlgMISCoro is the same MIS workload on coroutines.
-func BenchmarkAlgMISCoro(b *testing.B) {
-	g := misWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := mis.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, true)
+		_, st := mis.RunWithConfig(g, dist.Config{Seed: seed}, true)
 		return st
 	})
 }
@@ -260,46 +239,24 @@ func lprWorkload() *Graph {
 	return gen.UniformWeights(rng.New(6), gen.Gnm(rng.New(7), 1024, 4096), 1, 100)
 }
 
-// BenchmarkAlgLPRQuarter measures the weight-class black box (n=1024) on
-// the flat backend.
+// BenchmarkAlgLPRQuarter measures the weight-class black box (n=1024).
 func BenchmarkAlgLPRQuarter(b *testing.B) {
 	g := lprWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := lpr.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendFlat}, 0.05, true)
+		_, st := lpr.RunWithConfig(g, dist.Config{Seed: seed}, 0.05, true)
 		return st
 	})
 }
 
-// BenchmarkAlgLPRQuarterCoro is the same weight-class workload on
-// coroutines.
-func BenchmarkAlgLPRQuarterCoro(b *testing.B) {
-	g := lprWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := lpr.RunWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, 0.05, true)
-		return st
-	})
-}
-
-// ---- Core pipeline pairs (PR-3): the paper's headline algorithms on
-// both backends, node-rounds/s for the speedup table in BENCH_pr3.json ----
+// ---- Core pipeline: the paper's headline algorithms, node-rounds/s ----
 
 func bipartitePairWorkload() *Graph { return bipartiteWorkload(1, 512) }
 
-// BenchmarkAlgBipartiteMCM measures Algorithm 3 (k=3, n=1024, oracle) on
-// the flat backend.
+// BenchmarkAlgBipartiteMCM measures Algorithm 3 (k=3, n=1024, oracle).
 func BenchmarkAlgBipartiteMCM(b *testing.B) {
 	g := bipartitePairWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: dist.BackendFlat}, true)
-		return st
-	})
-}
-
-// BenchmarkAlgBipartiteMCMCoro is the same workload on coroutines.
-func BenchmarkAlgBipartiteMCMCoro(b *testing.B) {
-	g := bipartitePairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, true)
+		_, st := core.BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed}, true)
 		return st
 	})
 }
@@ -308,21 +265,11 @@ func generalPairWorkload() *Graph { return gen.Gnp(rng.New(2), 256, 3.0/256) }
 
 var generalPairOpts = core.GeneralOptions{Oracle: true, IdleStop: 30}
 
-// BenchmarkAlgGeneralMCM measures Algorithm 4 (k=3, n=256) on the flat
-// backend.
+// BenchmarkAlgGeneralMCM measures Algorithm 4 (k=3, n=256).
 func BenchmarkAlgGeneralMCM(b *testing.B) {
 	g := generalPairWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: dist.BackendFlat}, generalPairOpts)
-		return st
-	})
-}
-
-// BenchmarkAlgGeneralMCMCoro is the same workload on coroutines.
-func BenchmarkAlgGeneralMCMCoro(b *testing.B) {
-	g := generalPairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, generalPairOpts)
+		_, st := core.GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed}, generalPairOpts)
 		return st
 	})
 }
@@ -331,21 +278,11 @@ func weightedPairWorkload() *Graph {
 	return gen.UniformWeights(rng.New(3), gen.Gnm(rng.New(4), 256, 1024), 1, 100)
 }
 
-// BenchmarkAlgWeightedMWM measures Algorithm 5 (ε=0.25, n=256) on the
-// flat backend.
+// BenchmarkAlgWeightedMWM measures Algorithm 5 (ε=0.25, n=256).
 func BenchmarkAlgWeightedMWM(b *testing.B) {
 	g := weightedPairWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.WeightedMWMWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendFlat}, 0.25, true, nil)
-		return st
-	})
-}
-
-// BenchmarkAlgWeightedMWMCoro is the same workload on coroutines.
-func BenchmarkAlgWeightedMWMCoro(b *testing.B) {
-	g := weightedPairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.WeightedMWMWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, 0.25, true, nil)
+		_, st := core.WeightedMWMWithConfig(g, dist.Config{Seed: seed}, 0.25, true, nil)
 		return st
 	})
 }
@@ -353,49 +290,29 @@ func BenchmarkAlgWeightedMWMCoro(b *testing.B) {
 func greedyPairWorkload() *Graph { return gen.AdversarialChain(512) }
 
 // BenchmarkAlgLocalGreedy measures the locally-heaviest-edge protocol on
-// its Θ(n)-round pathology (the E7 chain, n=512) on the flat backend —
-// the workload where node-rounds/s matters most.
+// its Θ(n)-round pathology (the E7 chain, n=512) — the workload where
+// node-rounds/s matters most.
 func BenchmarkAlgLocalGreedy(b *testing.B) {
 	g := greedyPairWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := lpr.LocalGreedyWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendFlat}, 0, true)
+		_, st := lpr.LocalGreedyWithConfig(g, dist.Config{Seed: seed}, 0, true)
 		return st
 	})
 }
 
-// BenchmarkAlgLocalGreedyCoro is the same pathology on coroutines.
-func BenchmarkAlgLocalGreedyCoro(b *testing.B) {
-	g := greedyPairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := lpr.LocalGreedyWithConfig(g, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, 0, true)
-		return st
-	})
-}
-
-// ---- PR-7 ports: the strict-CONGEST and LOCAL pairs. These were the
-// last coroutine-only algorithms; their flat ports make the speedup
-// table total. ----
+// ---- Strict-CONGEST and LOCAL workloads: the two opposite messaging
+// regimes ----
 
 func strictPairWorkload() *Graph { return bipartiteWorkload(7, 128) }
 
 // BenchmarkAlgBipartiteStrict measures the Lemma 3.7 chunk-pipelined
-// execution (k=2, B=8 bits, n=256, oracle) on the flat backend. The
-// workload is sub-round dense: every value crosses its hop in ⌈bits/B⌉
-// chunk rounds, so the backend's per-node-round overhead dominates even
-// at modest n.
+// execution (k=2, B=8 bits, n=256, oracle). The workload is sub-round
+// dense: every value crosses its hop in ⌈bits/B⌉ chunk rounds, so the
+// engine's per-node-round overhead dominates even at modest n.
 func BenchmarkAlgBipartiteStrict(b *testing.B) {
 	g := strictPairWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.BipartiteMCMStrictWithConfig(g, 2, dist.Config{Seed: seed, Backend: dist.BackendFlat}, 8, true)
-		return st
-	})
-}
-
-// BenchmarkAlgBipartiteStrictCoro is the same workload on coroutines.
-func BenchmarkAlgBipartiteStrictCoro(b *testing.B) {
-	g := strictPairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.BipartiteMCMStrictWithConfig(g, 2, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, 8, true)
+		_, st := core.BipartiteMCMStrictWithConfig(g, 2, dist.Config{Seed: seed}, 8, true)
 		return st
 	})
 }
@@ -403,22 +320,12 @@ func BenchmarkAlgBipartiteStrictCoro(b *testing.B) {
 func genericPairWorkload() *Graph { return gen.Gnp(rng.New(11), 192, 4.0/192) }
 
 // BenchmarkAlgGenericMCM measures the LOCAL-model Algorithm 1 (ε=1/2,
-// n=192, oracle) on the flat backend: wide topology floods with
-// unbounded messages, the opposite messaging regime from the strict
-// pair.
+// n=192, oracle): wide topology floods with unbounded messages, the
+// opposite messaging regime from the strict workload.
 func BenchmarkAlgGenericMCM(b *testing.B) {
 	g := genericPairWorkload()
 	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.GenericMCMWithConfig(g, 0.5, dist.Config{Seed: seed, Backend: dist.BackendFlat}, true)
-		return st
-	})
-}
-
-// BenchmarkAlgGenericMCMCoro is the same workload on coroutines.
-func BenchmarkAlgGenericMCMCoro(b *testing.B) {
-	g := genericPairWorkload()
-	benchProtocol(b, g.N(), func(seed uint64) *dist.Stats {
-		_, st := core.GenericMCMWithConfig(g, 0.5, dist.Config{Seed: seed, Backend: dist.BackendCoroutine}, true)
+		_, st := core.GenericMCMWithConfig(g, 0.5, dist.Config{Seed: seed}, true)
 		return st
 	})
 }
@@ -484,27 +391,8 @@ func BenchmarkRunnerShortReuse(b *testing.B) {
 
 // ---- Substrate micro-benchmarks ----
 
-// BenchmarkEngineRound measures raw simulator round throughput on the
-// coroutine backend: 4096 nodes exchanging one signal per edge per round
-// on a 4-regular graph.
-func BenchmarkEngineRound(b *testing.B) {
-	g := gen.DRegular(rng.New(8), 4096, 4)
-	rounds := 64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dist.Run(g, dist.Config{Seed: uint64(i)}, func(nd *dist.Node) {
-			for r := 0; r < rounds; r++ {
-				nd.SendAll(dist.Signal{})
-				nd.Step()
-			}
-		})
-	}
-	b.ReportMetric(float64(rounds*g.N())*float64(b.N)/b.Elapsed().Seconds(), "node-rounds/s")
-}
-
-// flatBeacon is BenchmarkEngineRoundFlat's RoundProgram: the same
-// signal-per-edge-per-round traffic as BenchmarkEngineRound, minus the
-// two coroutine switches per node-round.
+// flatBeacon is the engine-round benchmarks' RoundProgram: one signal per
+// edge per round for left rounds.
 type flatBeacon struct{ left int }
 
 func (p *flatBeacon) Init(nd *dist.Node) bool {
@@ -522,9 +410,9 @@ func (p *flatBeacon) OnRound(nd *dist.Node, in []dist.Incoming) bool {
 	return true
 }
 
-// BenchmarkEngineRoundFlat is BenchmarkEngineRound on the flat backend —
-// the tentpole number: the gap between the two is the coroutine switch
-// tax (see DESIGN.md §1).
+// BenchmarkEngineRoundFlat measures raw simulator round throughput: 4096
+// nodes exchanging one signal per edge per round on a 4-regular graph
+// (see DESIGN.md §1).
 func BenchmarkEngineRoundFlat(b *testing.B) {
 	g := gen.DRegular(rng.New(8), 4096, 4)
 	rounds := 64
@@ -582,30 +470,10 @@ func BenchmarkEngineRoundActive(b *testing.B) {
 // worker-scaling sweep reuses.
 func engineRoundWorkload() *Graph { return gen.DRegular(rng.New(8), 4096, 4) }
 
-// BenchmarkEngineRoundWorkers sweeps Config.Workers on the coroutine
-// backend — the multi-core scaling study's denominator. On hardware with
-// fewer cores than workers the extra workers measure pure
-// barrier/dispatch overhead, which is exactly the knee being located
-// (see DESIGN.md §1).
-func BenchmarkEngineRoundWorkers(b *testing.B) {
-	g := engineRoundWorkload()
-	rounds := 64
-	for _, w := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dist.Run(g, dist.Config{Seed: uint64(i), Workers: w}, func(nd *dist.Node) {
-					for r := 0; r < rounds; r++ {
-						nd.SendAll(dist.Signal{})
-						nd.Step()
-					}
-				})
-			}
-			b.ReportMetric(float64(rounds*g.N())*float64(b.N)/b.Elapsed().Seconds(), "node-rounds/s")
-		})
-	}
-}
-
-// BenchmarkEngineRoundFlatWorkers is the same sweep on the flat backend.
+// BenchmarkEngineRoundFlatWorkers sweeps Config.Workers on the engine
+// beacon. On hardware with fewer cores than workers the extra workers
+// measure pure barrier/dispatch overhead, which is exactly the knee being
+// located (see DESIGN.md §1).
 func BenchmarkEngineRoundFlatWorkers(b *testing.B) {
 	g := engineRoundWorkload()
 	rounds := 64
@@ -621,13 +489,13 @@ func BenchmarkEngineRoundFlatWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRoundFlatTopo is the workers × topology scaling grid on
-// the flat backend: the 64-round beacon on message patterns that stress
+// BenchmarkEngineRoundFlatTopo is the workers × topology scaling grid:
+// the 64-round beacon on message patterns that stress
 // the mailbox modes differently — uniform short rows (4-regular), dense
 // rows (G(n,m) at mean degree 16), irregular rows (G(n,p)), and the hub pathology
 // (star: one node owns half of every round's traffic, the worst case for
 // chunk balance since the hub's whole arc range belongs to one worker).
-// Together with the Workers sweeps above it locates the contention knee
+// Together with the Workers sweep above it locates the contention knee
 // recorded in BENCH_pr7.json and DESIGN.md §1.
 func BenchmarkEngineRoundFlatTopo(b *testing.B) {
 	tops := []struct {
@@ -751,26 +619,6 @@ func BenchmarkShardServingSingleApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mt.Apply(toggles(r, live))
-	}
-}
-
-// BenchmarkShardServingPoolApplySerial is the identical slot stream with
-// the pool's commit pipelines and incremental recompose disabled
-// (Options.Serial) — the PR-8/9 write path, kept as the differential
-// oracle; the gap to BenchmarkShardServingPoolApply prices the pipeline.
-func BenchmarkShardServingPoolApplySerial(b *testing.B) {
-	g := shardServingSlab()
-	p := NewPool(g, PoolOptions{Shards: 4, K: 2, Seed: 6, AuditEvery: 16, Serial: true})
-	defer p.Close()
-	live := make([]bool, g.M())
-	for e := range live {
-		live[e] = true
-	}
-	toggles := benchShardToggles(g.M())
-	r := rng.New(44)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Apply(toggles(r, live))
 	}
 }
 

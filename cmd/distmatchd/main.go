@@ -89,24 +89,10 @@ func main() {
 	backoff := flag.Int("backoff", 1, "base auto-restart backoff of a killed shard, in applies")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout")
 	workers := flag.Int("workers", 0, "engine worker goroutines (0 = one per core)")
-	backend := flag.String("backend", "auto", "engine backend: auto | coro | flat")
 	debugaddr := flag.String("debugaddr", "", "separate listener for pprof + /metrics (empty = off)")
 	accesslog := flag.Bool("accesslog", true, "log every request to stderr")
 	events := flag.Int("events", 4096, "event-ring capacity (structured trace records held)")
 	flag.Parse()
-
-	var be dist.Backend
-	switch *backend {
-	case "auto":
-		be = dist.BackendAuto
-	case "coro":
-		be = dist.BackendCoroutine
-	case "flat":
-		be = dist.BackendFlat
-	default:
-		fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backend)
-		os.Exit(2)
-	}
 
 	reg := telemetry.New(telemetry.Options{EventCapacity: *events})
 	dist.SetTelemetry(reg)
@@ -116,8 +102,8 @@ func main() {
 		Shards: *shards, K: *k, Seed: *seed,
 		StartEmpty: !*full, AuditEvery: *auditEvery,
 		RestartBackoff: *backoff,
-		Workers:        *workers, Backend: be,
-		Telemetry: reg,
+		Workers:        *workers,
+		Telemetry:      reg,
 	})
 	defer pool.Close()
 

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"testing"
 
-	"distmatch/internal/dist"
 	"distmatch/internal/golden"
 )
 
@@ -66,26 +65,18 @@ func TestChaosSchedules(t *testing.T) {
 		len(seeds), faults, degraded, recovering, crashed)
 }
 
-// TestChaosBackendsBitIdentical replays schedules on both engine
-// backends: the full Result — slot-by-slot history included — must be
-// bit-identical, faults and all.
+// TestChaosBackendsBitIdentical replays schedules against the committed
+// digests: the full Result — slot-by-slot history included — must match
+// bit for bit, faults and all. The digests were recorded while the
+// retired coroutine backend and the machines produced identical Results.
 func TestChaosBackendsBitIdentical(t *testing.T) {
 	tab := golden.Open(t, "chaos")
 	for seed := uint64(0); seed < 25; seed++ {
-		rc, errC := Run(Config{Seed: seed, Backend: dist.BackendCoroutine})
-		rf, errF := Run(Config{Seed: seed, Backend: dist.BackendFlat})
-		if (errC == nil) != (errF == nil) {
-			t.Fatalf("seed %d: errors diverge: coroutine %v vs flat %v", seed, errC, errF)
+		res, err := Run(Config{Seed: seed})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if errC != nil {
-			t.Fatalf("seed %d: %v", seed, errC)
-		}
-		if !reflect.DeepEqual(rc, rf) {
-			t.Fatalf("seed %d: results diverge across backends\ncoroutine %+v\nflat      %+v", seed, rc, rf)
-		}
-		key := fmt.Sprintf("seed=%d", seed)
-		tab.Check(t, key, golden.New().Add(*rc))
-		tab.Check(t, key, golden.New().Add(*rf))
+		tab.Check(t, fmt.Sprintf("seed=%d", seed), golden.New().Add(*res))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"distmatch/internal/dist"
 	"distmatch/internal/golden"
 )
 
@@ -99,55 +98,20 @@ func TestShardChaosEventTrace(t *testing.T) {
 	t.Fatal("no schedule in the sample killed a shard; widen the sample")
 }
 
-// TestShardChaosSerialBitIdentical replays shard schedules with the
-// pool's per-shard commit pipelines disabled (Serial: inline commits and
-// full recompose rescans — the pre-pipeline write path) and demands the
-// full ShardResult, event trace included, stay bit-identical to the
-// pipelined run: the chaos-scale differential oracle for the PR-10
-// pipeline rewrite.
-func TestShardChaosSerialBitIdentical(t *testing.T) {
-	tab := golden.Open(t, "shard_chaos")
-	for seed := uint64(0); seed < 8; seed++ {
-		base, err := RunShards(ShardConfig{Seed: seed})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		tab.Check(t, fmt.Sprintf("seed=%d", seed), golden.New().Add(*base))
-		got, err := RunShards(ShardConfig{Seed: seed, Serial: true})
-		if err != nil {
-			t.Fatalf("seed %d serial: %v", seed, err)
-		}
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("seed %d: serial diverges from pipelined\npipelined %+v\nserial    %+v",
-				seed, base, got)
-		}
-		tab.Check(t, fmt.Sprintf("seed=%d", seed), golden.New().Add(*got))
-	}
-}
-
-// TestShardChaosBackendsBitIdentical replays shard schedules on both
-// engine backends and on extra workers: the full ShardResult —
-// slot-by-slot history included — must be bit-identical.
+// TestShardChaosBackendsBitIdentical replays shard schedules at the
+// default and at 4 workers against the committed digests: the full
+// ShardResult — slot-by-slot history and event trace included — must
+// match bit for bit. The digests were recorded while the retired
+// coroutine backend, the machines, and the retired inline-commit pool
+// write path all produced identical results.
 func TestShardChaosBackendsBitIdentical(t *testing.T) {
 	tab := golden.Open(t, "shard_chaos")
 	for seed := uint64(0); seed < 8; seed++ {
 		key := fmt.Sprintf("seed=%d", seed)
-		base, err := RunShards(ShardConfig{Seed: seed, Backend: dist.BackendCoroutine})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		tab.Check(t, key, golden.New().Add(*base))
-		for name, cfg := range map[string]ShardConfig{
-			"flat":    {Seed: seed, Backend: dist.BackendFlat},
-			"workers": {Seed: seed, Backend: dist.BackendCoroutine, Workers: 4},
-		} {
-			got, err := RunShards(cfg)
+		for _, workers := range []int{0, 4} {
+			got, err := RunShards(ShardConfig{Seed: seed, Workers: workers})
 			if err != nil {
-				t.Fatalf("seed %d %s: %v", seed, name, err)
-			}
-			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("seed %d: %s diverges from coroutine baseline\nbase %+v\ngot  %+v",
-					seed, name, base, got)
+				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
 			tab.Check(t, key, golden.New().Add(*got))
 		}

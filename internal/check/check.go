@@ -17,7 +17,6 @@
 package check
 
 import (
-	"distmatch/internal/core"
 	"distmatch/internal/dist"
 	"distmatch/internal/graph"
 )
@@ -68,7 +67,7 @@ func Matching(g *graph.Graph, m *graph.Matching, probeLen int, seed uint64) (Rep
 // assume the assignment is consistent — that is what it checks.
 func MatchingRaw(g *graph.Graph, matchedEdge []int32, probeLen int, seed uint64) (Report, *dist.Stats) {
 	rep := Report{ShortestAug: -2}
-	stats := dist.RunFlat(g, dist.Config{Seed: seed}, flatProgram(matchedEdge, probeLen, &rep))
+	stats := dist.RunFlat(g, dist.Config{Seed: seed}, program(matchedEdge, probeLen, &rep))
 	return rep, stats
 }
 
@@ -84,7 +83,7 @@ func MatchingOnRunner(r *dist.Runner, matchedEdge []int32, probeLen int, seed ui
 		return emptySubgraphReport(r.Graph(), matchedEdge, probeLen), &dist.Stats{}
 	}
 	rep := Report{ShortestAug: -2}
-	stats := r.RunFlat(seed, flatProgram(matchedEdge, probeLen, &rep))
+	stats := r.RunFlat(seed, program(matchedEdge, probeLen, &rep))
 	return rep, stats
 }
 
@@ -109,98 +108,4 @@ func emptySubgraphReport(g *graph.Graph, matchedEdge []int32, probeLen int) Repo
 		rep.ShortestAug = -1
 	}
 	return rep
-}
-
-// program is the blocking (coroutine-backend) reference form of the
-// protocol; every entry point runs its flat transliteration (flat.go),
-// and TestFlatMatchesBlocking pins the two bit-equal. The engine's
-// activation mask (if any) shapes what either form sees: a SendAll
-// reaches only live neighbors, so every probe is relative to the live
-// subgraph. The report is written by the run's Reporter node (the
-// lowest stepped id) rather than node 0, so the protocol also works
-// under active-set execution — the dynamic Maintainer restricts audits
-// to the endpoints of live edges, a set no live edge can cross, which
-// leaves messages, rounds and outcomes bit-identical to a full sweep.
-func program(matchedEdge []int32, probeLen int, rep *Report) func(*dist.Node) {
-	return func(nd *dist.Node) {
-		me := matchedEdge[nd.ID()]
-
-		// Round 1: handshake. Everyone tells every neighbor which edge
-		// (if any) it believes it is matched on.
-		nd.SendAll(edgeClaim{edge: me})
-		bad := false
-		if me != -1 {
-			// My edge must be incident to me — and live: a dead matched
-			// edge cannot be caught by the cross-check below, because no
-			// message crosses it.
-			found := false
-			for p := 0; p < nd.Deg(); p++ {
-				if int32(nd.EdgeID(p)) == me {
-					found = nd.EdgeLive(p)
-				}
-			}
-			if !found {
-				bad = true
-			}
-		}
-		for _, in := range nd.Step() {
-			claim := in.Msg.(edgeClaim).edge
-			myEdgeHere := int32(nd.EdgeID(in.Port))
-			// If the neighbor claims the shared edge, I must claim it too,
-			// and vice versa.
-			if (claim == myEdgeHere) != (me == myEdgeHere) {
-				bad = true
-			}
-		}
-		_, anyBad := nd.StepOr(bad)
-		if nd.Reporter() {
-			rep.Valid = !anyBad
-		}
-
-		// Rounds 2-3: maximality probe. Free nodes raise a flag; a free
-		// node seeing a free neighbor reports a violation.
-		free := me == -1
-		if free {
-			nd.SendAll(freeFlag{})
-		}
-		violation := false
-		for _, in := range nd.Step() {
-			if _, ok := in.Msg.(freeFlag); ok && free {
-				violation = true
-			}
-		}
-		_, anyViolation := nd.StepOr(violation)
-		if nd.Reporter() {
-			rep.Maximal = !anyViolation
-		}
-
-		// Berge probe (bipartite only): run the counting BFS for
-		// ℓ = 1, 3, …, probeLen; the first ℓ with a leader is the
-		// shortest augmenting path length.
-		if probeLen <= 0 || !nd.Bipartite() {
-			return
-		}
-		st := &core.MatchState{MatchedPort: -1}
-		if me != -1 {
-			for p := 0; p < nd.Deg(); p++ {
-				if int32(nd.EdgeID(p)) == me {
-					st.MatchedPort = p
-				}
-			}
-		}
-		found := false
-		for ell := 1; ell <= probeLen; ell += 2 {
-			leader := core.CountLeaders(nd, st, ell)
-			_, any := nd.StepOr(leader && !found)
-			if any && !found {
-				found = true
-				if nd.Reporter() {
-					rep.ShortestAug = ell
-				}
-			}
-		}
-		if nd.Reporter() && !found {
-			rep.ShortestAug = -1
-		}
-	}
 }

@@ -1,21 +1,20 @@
 package check
 
-// The verification protocol in flat (dist.RoundProgram) form — a
-// segment-for-segment transliteration of program() in check.go: the same
-// sends, the same barrier structure, the same reporter writes, so the
-// two are bit-identical (TestFlatMatchesBlocking) and differ only in
-// throughput. This is the form every entry point runs: verification
-// draws no randomness and carries trivial per-round compute, exactly the
-// shape where the coroutine switch tax dominates (DESIGN.md §1) — and
-// the audit path of the dynamic Maintainer runs it every few applies,
-// where it was the last coroutine consumer in the serving loop.
+// The verification protocol as a RoundProgram. The engine's activation
+// mask (if any) shapes what it sees: a SendAll reaches only live
+// neighbors, so every probe is relative to the live subgraph. The report
+// is written by the run's Reporter node (the lowest stepped id) rather
+// than node 0, so the protocol also works under active-set execution —
+// the dynamic Maintainer restricts audits to the endpoints of live edges,
+// a set no live edge can cross, which leaves messages, rounds and
+// outcomes bit-identical to a full sweep.
 
 import (
 	"distmatch/internal/core"
 	"distmatch/internal/dist"
 )
 
-// flatChecker stages, named for the barrier each OnRound consumes.
+// checker stages, named for the barrier each OnRound consumes.
 const (
 	ckClaims  uint8 = iota // handshake claims delivered
 	ckValid                // validity OR delivered
@@ -25,7 +24,7 @@ const (
 	ckProbe                // leader OR of the finished BFS delivered
 )
 
-type flatChecker struct {
+type checker struct {
 	matchedEdge []int32
 	probeLen    int
 	rep         *Report
@@ -41,7 +40,7 @@ type flatChecker struct {
 	bfs   core.CountLeadersMachine
 }
 
-func (c *flatChecker) Init(nd *dist.Node) bool {
+func (c *checker) Init(nd *dist.Node) bool {
 	c.me = c.matchedEdge[nd.ID()]
 
 	// Round 1: handshake. Everyone tells every neighbor which edge
@@ -65,7 +64,7 @@ func (c *flatChecker) Init(nd *dist.Node) bool {
 	return true
 }
 
-func (c *flatChecker) OnRound(nd *dist.Node, in []dist.Incoming) bool {
+func (c *checker) OnRound(nd *dist.Node, in []dist.Incoming) bool {
 	switch c.stage {
 	case ckClaims:
 		for _, d := range in {
@@ -159,9 +158,9 @@ func (c *flatChecker) OnRound(nd *dist.Node, in []dist.Incoming) bool {
 	}
 }
 
-// flatProgram is the factory the entry points hand to RunFlat.
-func flatProgram(matchedEdge []int32, probeLen int, rep *Report) func(nd *dist.Node) dist.RoundProgram {
+// program is the factory the entry points hand to RunFlat.
+func program(matchedEdge []int32, probeLen int, rep *Report) func(nd *dist.Node) dist.RoundProgram {
 	return func(*dist.Node) dist.RoundProgram {
-		return &flatChecker{matchedEdge: matchedEdge, probeLen: probeLen, rep: rep}
+		return &checker{matchedEdge: matchedEdge, probeLen: probeLen, rep: rep}
 	}
 }

@@ -37,15 +37,13 @@ func TestBipartiteMCMSeedsMatchesFresh(t *testing.T) {
 	g := gen.BipartiteGnp(rng.New(41), 24, 20, 0.15)
 	seeds := []uint64{3, 17, 92, 12345}
 	tab := golden.Open(t, "bipartite_seeds")
-	for _, be := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
-		cfg := dist.Config{Backend: be}
-		ms, sts := BipartiteMCMSeeds(g, 3, cfg, seeds, true)
-		for i, seed := range seeds {
-			wm, wst := BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: be}, true)
-			sameMatching(t, be.String(), g, ms[i], wm)
-			sameStats(t, be.String(), sts[i], wst)
-			tab.Check(t, fmt.Sprintf("seed=%d", seed), runDigest(g, ms[i], sts[i]))
-		}
+	ms, sts := BipartiteMCMSeeds(g, 3, dist.Config{}, seeds, true)
+	for i, seed := range seeds {
+		label := fmt.Sprintf("seed=%d", seed)
+		wm, wst := BipartiteMCMWithConfig(g, 3, dist.Config{Seed: seed}, true)
+		sameMatching(t, label, g, ms[i], wm)
+		sameStats(t, label, sts[i], wst)
+		tab.Check(t, label, runDigest(g, ms[i], sts[i]))
 	}
 }
 
@@ -54,38 +52,33 @@ func TestGeneralMCMSeedsMatchesFresh(t *testing.T) {
 	seeds := []uint64{5, 77, 3021}
 	opts := GeneralOptions{Oracle: true, IdleStop: 10}
 	tab := golden.Open(t, "general_seeds")
-	for _, be := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
-		cfg := dist.Config{Backend: be}
-		ms, sts := GeneralMCMSeeds(g, 3, cfg, seeds, opts)
-		for i, seed := range seeds {
-			wm, wst := GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed, Backend: be}, opts)
-			sameMatching(t, be.String(), g, ms[i], wm)
-			sameStats(t, be.String(), sts[i], wst)
-			tab.Check(t, fmt.Sprintf("seed=%d", seed), runDigest(g, ms[i], sts[i]))
-		}
+	ms, sts := GeneralMCMSeeds(g, 3, dist.Config{}, seeds, opts)
+	for i, seed := range seeds {
+		label := fmt.Sprintf("seed=%d", seed)
+		wm, wst := GeneralMCMWithConfig(g, 3, dist.Config{Seed: seed}, opts)
+		sameMatching(t, label, g, ms[i], wm)
+		sameStats(t, label, sts[i], wst)
+		tab.Check(t, label, runDigest(g, ms[i], sts[i]))
 	}
 }
 
 // TestRepairFullRegionMatchesMCM: a full-region repair from the empty
 // matching on an unmasked runner is exactly BipartiteMCM — same phases,
-// same draws, bit-identical output on both backends.
+// same draws, bit-identical output.
 func TestRepairFullRegionMatchesMCM(t *testing.T) {
 	g := gen.BipartiteGnp(rng.New(43), 20, 20, 0.18)
-	tab := golden.Open(t, "repair_full")
-	for _, be := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
-		r := dist.NewRunner(g, dist.Config{Backend: be})
-		matchedEdge := make([]int32, g.N())
-		for v := range matchedEdge {
-			matchedEdge[v] = -1
-		}
-		st := RepairBipartite(r, 9, matchedEdge, nil, RepairOptions{K: 3, Oracle: true, Backend: be})
-		got := graph.CollectMatching(g, matchedEdge)
-		want, wst := BipartiteMCMWithConfig(g, 3, dist.Config{Seed: 9, Backend: be}, true)
-		sameMatching(t, be.String(), g, got, want)
-		sameStats(t, be.String(), st, wst)
-		tab.Check(t, "full", runDigest(g, got, st))
-		r.Close()
+	r := dist.NewRunner(g, dist.Config{})
+	defer r.Close()
+	matchedEdge := make([]int32, g.N())
+	for v := range matchedEdge {
+		matchedEdge[v] = -1
 	}
+	st := RepairBipartite(r, 9, matchedEdge, nil, RepairOptions{K: 3, Oracle: true})
+	got := graph.CollectMatching(g, matchedEdge)
+	want, wst := BipartiteMCMWithConfig(g, 3, dist.Config{Seed: 9}, true)
+	sameMatching(t, "repair", g, got, want)
+	sameStats(t, "repair", st, wst)
+	golden.Open(t, "repair_full").Check(t, "full", runDigest(g, got, st))
 }
 
 // TestRepairRegionFreezesBoundary: repair confined to a region leaves

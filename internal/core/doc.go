@@ -22,18 +22,13 @@
 // message-passing engine of internal/dist; every reported round, message
 // and bit is actually exchanged.
 //
-// # Execution forms
+// # Execution
 //
-// BipartiteMCM, GeneralMCM and WeightedMWM exist in two bit-identical
-// forms sharing one engine substrate: the blocking programs in
-// bipartite.go/general.go/weighted.go (coroutine backend — the readable
-// reference notation) and the machine-composition ports in
-// flat.go/flat_general.go/flat_weighted.go (flat backend — dist.Machine
-// fragments chained by dist.Seq, zero stack switches, 3-6x the
-// node-rounds/s; see DESIGN.md §1 and BENCH_pr3.json). dist.Config.Backend
-// selects the form (auto = flat); the differential suites in flat_test.go
-// pin matching, Stats and per-round profiles equal, so any change to one
-// form must be mirrored in the other. Strict CONGEST execution
-// (bipartite_strict.go) and the LOCAL-model GenericMCM have only the
-// blocking form.
+// Every algorithm is a dist.RoundProgram: the §3.2 machinery is a set of
+// dist.Machine fragments (flat.go, and its strict-CONGEST twin
+// flat_strict.go) chained by dist.Seq, and the Algorithm 1/2, 4 and 5
+// drivers (flat_generic.go, flat_general.go, flat_weighted.go) are state
+// machines over them. The golden tables under testdata/golden/ pin the
+// matchings, Stats and per-round profiles of every entry point; see
+// DESIGN.md §1 for re-recording them after an intended protocol change.
 package core

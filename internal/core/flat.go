@@ -1,34 +1,27 @@
 package core
 
-// Flat-backend (dist.RoundProgram) execution of the §3.2 machinery: the
-// counting BFS, token-walk MIS emulation and commit phases of Algorithms
-// 2-4 as dist.Machine fragments, composed with dist.Seq into the same
-// per-(ℓ, iteration) pipeline that bipartite.go writes as nested blocking
-// calls. Each machine is a segment-for-segment transliteration of its
-// blocking original — the same sends, the same RNG draws in the same
-// order, the same barrier structure, the same protocol-invariant panics —
-// so a flat run is bit-identical (matching, Stats, per-round profile) to
-// a coroutine run with the same seed; TestFlatMatchesCoroutine* prove it.
-// Keep the two forms in lockstep when changing either.
+// The §3.2 machinery as dist.Machine fragments: the counting BFS, the
+// token-walk MIS emulation and the commit wave of Algorithms 2-4,
+// composed with dist.Seq into the per-(ℓ, iteration) pipeline:
 //
-// The composition mirrors the blocking call tree one-to-one:
-//
-//	runPhases          → phasesMachine  (Seq over ℓ = 1, 3, …, 2k−1)
-//	augmentToLength    → augmentMachine (Seq loop: BFS → probe/budget → token → commit)
-//	countingBFS        → bfsMachine     (ℓ rounds)
-//	StepOr termination → dist.ProbeOr   (1 round)
-//	tokenPhase         → tokenMachine   (ℓ rounds)
-//	commitPhase        → commitMachine  (ℓ rounds)
+//	phasesMachine  (Seq over ℓ = 1, 3, …, 2k−1)
+//	augmentMachine (Seq loop: BFS → probe/budget → token → commit)
+//	bfsMachine     (ℓ rounds)
+//	dist.ProbeOr   (1 round: does any leader exist anywhere?)
+//	tokenMachine   (ℓ rounds)
+//	commitMachine  (ℓ rounds)
 //
 // flat_general.go and flat_weighted.go drive the same fragments from the
-// Algorithm 4 and Algorithm 5 outer loops.
+// Algorithm 4 and Algorithm 5 outer loops, and flat_strict.go holds the
+// strict-CONGEST twin of every fragment. The golden tables under
+// testdata/golden/ pin the pipeline's matchings, Stats and per-round
+// profiles.
 
 import (
 	"fmt"
 	"math"
 
 	"distmatch/internal/dist"
-	"distmatch/internal/graph"
 )
 
 // phaseEnv is the per-node context shared by the §3.2 sub-machines: the
@@ -44,9 +37,12 @@ type phaseEnv struct {
 
 func allPorts(int) bool { return true }
 
-// bfsMachine is countingBFS in Machine form: Algorithm 3 for exactly ell
-// rounds. Start is the round-0 flood of the free X nodes; each OnRound is
-// one reception-and-forward layer. The result accumulates in res.
+// bfsMachine is the counting BFS of Algorithm 3, run for exactly ell
+// rounds. side is the node's bipartition side (0 = X, 1 = Y),
+// participate excludes nodes outside the active subgraph, active masks
+// usable ports. Start is the round-0 flood of the free X nodes; each
+// OnRound is one reception-and-forward layer. The result accumulates in
+// res.
 type bfsMachine struct {
 	env  *phaseEnv
 	ell  int
@@ -79,7 +75,7 @@ func (m *bfsMachine) Start(nd *dist.Node) (done bool) {
 			}
 		}
 	}
-	return false // ell >= 1: always at least one reception round
+	return m.ell < 1 // a zero-round BFS is the round-0 flood alone
 }
 
 func (m *bfsMachine) OnRound(nd *dist.Node, in []dist.Incoming) (done bool) {
@@ -132,11 +128,15 @@ func (m *bfsMachine) OnRound(nd *dist.Node, in []dist.Incoming) (done bool) {
 	return done
 }
 
-// tokenMachine is tokenPhase in Machine form: one Luby iteration on the
-// conflict graph (Lemma 3.7), exactly ell rounds. Start is the tr = 0
-// launch check; each OnRound collects the layer-synchronous arrivals of
-// one token round, forwards, and runs the next round's launch check. The
-// winning token's route accumulates in rec.
+// tokenMachine emulates one Luby iteration on the conflict graph (Lemma
+// 3.7) in exactly ell rounds: each leader launches one token whose value
+// represents the maximum of its n_y path priorities; tokens walk the BFS
+// DAG backwards (c-weighted at Y nodes, the matching edge at X nodes);
+// colliding tokens keep the maximum. Tokens are staggered so that a token
+// sits at DAG layer j exactly at token round ell−j, which makes every
+// collision simultaneous. Start is the tr = 0 launch check; each OnRound
+// collects the arrivals of one token round, forwards, and runs the next
+// round's launch check. The winning token's route accumulates in rec.
 type tokenMachine struct {
 	env  *phaseEnv
 	bfs  *bfsResult
@@ -151,8 +151,8 @@ func (m *tokenMachine) reset(env *phaseEnv, bfs *bfsResult, ell int) {
 	m.env, m.bfs, m.ell = env, bfs, ell
 }
 
-// sampleBack chooses an in-edge with probability c_v[i]/n_v — the same
-// draw, FP guard included, as tokenPhase's closure.
+// sampleBack chooses an in-edge with probability c_v[i]/n_v, falling back
+// to the last positive-count port when float round-off overshoots.
 func (m *tokenMachine) sampleBack(nd *dist.Node) int {
 	x := nd.Rand().Float64() * m.bfs.total
 	acc := 0.0
@@ -244,10 +244,11 @@ func (m *tokenMachine) OnRound(nd *dist.Node, in []dist.Incoming) (done bool) {
 	return false
 }
 
-// commitMachine is commitPhase in Machine form: the trace-back of §3.2,
-// exactly ell rounds. Start is the initiation wave at terminal free X
-// nodes; each OnRound relays one hop. flipped reports whether this node's
-// matching state changed.
+// commitMachine retraces winning tokens from their terminal free X node
+// back to the leader, flipping the matching along the way (the trace-back
+// of §3.2), in exactly ell rounds. Start is the initiation wave at
+// terminal free X nodes; each OnRound relays one hop. flipped reports
+// whether this node's matching state changed.
 type commitMachine struct {
 	env     *phaseEnv
 	rec     *tokenRecord
@@ -301,10 +302,11 @@ func (m *commitMachine) OnRound(nd *dist.Node, in []dist.Incoming) (done bool) {
 	return m.cr >= m.ell
 }
 
-// augmentMachine is augmentToLength in Machine form: a Seq-driven loop
-// that counts, selects and applies disjoint augmenting paths of length
-// ≤ ell until the oracle reports none remain or the fixed budget runs
-// out. changed reports whether this node's matching changed.
+// augmentMachine is a Seq-driven loop that counts, selects and applies
+// disjoint augmenting paths of length ≤ ell within the active subgraph
+// until the oracle reports none remain (one probe round per iteration) or
+// for a fixed budget of iterations (w.h.p. sufficient, Lemma 3.7).
+// changed reports whether this node's matching changed.
 type augmentMachine struct {
 	dist.Seq
 	env    *phaseEnv
@@ -380,9 +382,10 @@ func (m *augmentMachine) next(nd *dist.Node) dist.Machine {
 	}
 }
 
-// phasesMachine is runPhases in Machine form: augmentMachine for
-// ℓ = 1, 3, …, 2k−1, leaving no augmenting path of length ≤ 2k−1 in the
-// active subgraph. changed reports whether the local matching changed.
+// phasesMachine runs augmentMachine for ℓ = 1, 3, …, 2k−1 (Algorithm 1's
+// loop realized with the §3.2 machinery), leaving no augmenting path of
+// length ≤ 2k−1 in the active subgraph. changed reports whether the local
+// matching changed.
 type phasesMachine struct {
 	dist.Seq
 	env     *phaseEnv
@@ -416,13 +419,12 @@ func (m *phasesMachine) next(nd *dist.Node) dist.Machine {
 	return &m.aug
 }
 
-// CountLeadersMachine is CountLeaders in Machine form: the Algorithm 3
-// counting BFS run for exactly ell rounds with every node participating
-// and every port usable, reporting whether this node ended up a leader —
-// a free Y node reached by the BFS, i.e. the endpoint of at least one
-// augmenting path of length ≤ ell. Exposed for the flat form of
-// internal/check's Berge probe; Reset re-arms it across ℓ values and
-// runs, like every other machine here.
+// CountLeadersMachine is the Algorithm 3 counting BFS run for exactly ell
+// rounds with every node participating and every port usable, reporting
+// whether this node ended up a leader — a free Y node reached by the BFS,
+// i.e. the endpoint of at least one augmenting path of length ≤ ell.
+// Exposed for internal/check's Berge probe; Reset re-arms it across ℓ
+// values and runs, like every other machine here.
 type CountLeadersMachine struct {
 	env phaseEnv
 	bfs bfsMachine
@@ -450,26 +452,3 @@ func (m *CountLeadersMachine) OnRound(nd *dist.Node, in []dist.Incoming) bool {
 
 // Leader reports the BFS outcome at this node.
 func (m *CountLeadersMachine) Leader() bool { return m.bfs.res.leader }
-
-// runFlatBipartite is the flat-backend implementation behind
-// BipartiteMCM/BipartiteMCMWithConfig.
-func runFlatBipartite(g *graph.Graph, k int, cfg dist.Config, oracle bool) (*graph.Matching, *dist.Stats) {
-	matchedEdge := make([]int32, g.N())
-	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
-		env := &phaseEnv{
-			st:          MatchState{MatchedPort: -1},
-			side:        nd.Side(),
-			participate: true,
-			active:      allPorts,
-		}
-		m := &phasesMachine{}
-		m.reset(env, k, oracle)
-		return dist.AsProgram(m, func(nd *dist.Node) {
-			matchedEdge[nd.ID()] = -1
-			if env.st.MatchedPort >= 0 {
-				matchedEdge[nd.ID()] = int32(nd.EdgeID(env.st.MatchedPort))
-			}
-		})
-	})
-	return graph.CollectMatching(g, matchedEdge), stats
-}

@@ -1,15 +1,10 @@
 package core
 
-// Flat-backend execution of §3.3, Algorithm 4: the red/blue sampling
-// loop as a RoundProgram that re-aims the shared phaseEnv at each
-// iteration's bipartite subgraph Ĝ and drives the §3.2 phasesMachine on
-// it. Segment-for-segment transliteration of GeneralMCM's blocking node
-// program; bit-identical for equal seeds (TestFlatMatchesCoroutineGeneral).
+// §3.3, Algorithm 4, as a RoundProgram: the red/blue sampling loop
+// re-aims the shared phaseEnv at each iteration's bipartite subgraph Ĝ
+// and drives the §3.2 phasesMachine (or its strict twin) on it.
 
-import (
-	"distmatch/internal/dist"
-	"distmatch/internal/graph"
-)
+import "distmatch/internal/dist"
 
 // generalMachine is one node's Algorithm 4 state machine. A positive
 // capacity runs the inner bipartite phases in strict CONGEST mode (the
@@ -42,7 +37,7 @@ const (
 	gsColor  uint8 = iota // the color-exchange round
 	gsMember              // the V̂-membership round
 	gsPhases              // inside the §3.2 phase pipeline
-	gsIdle                // the idle-stop StepOr round
+	gsIdle                // the idle-stop oracle round
 )
 
 func (m *generalMachine) Init(nd *dist.Node) (again bool) {
@@ -176,17 +171,15 @@ func (m *generalMachine) finish(nd *dist.Node) {
 	}
 }
 
-// runFlatGeneral is the flat-backend implementation behind
-// GeneralMCM/GeneralMCMWithConfig; opts.StrictCapacityBits > 0 selects
-// strict CONGEST pipelining for the inner phases.
-func runFlatGeneral(g *graph.Graph, k int, cfg dist.Config, opts GeneralOptions, iters int) (*graph.Matching, *dist.Stats) {
-	matchedEdge := make([]int32, g.N())
-	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
+// generalFactory builds the Algorithm 4 node programs of one run over the
+// caller's matchedEdge slab; opts.StrictCapacityBits > 0 selects strict
+// CONGEST pipelining for the inner phases.
+func generalFactory(k, iters int, opts GeneralOptions, matchedEdge []int32) func(nd *dist.Node) dist.RoundProgram {
+	return func(nd *dist.Node) dist.RoundProgram {
 		return &generalMachine{
 			k: k, oracle: opts.Oracle, iters: iters, idleStop: opts.IdleStop,
 			capacity:    opts.StrictCapacityBits,
 			matchedEdge: matchedEdge,
 		}
-	})
-	return graph.CollectMatching(g, matchedEdge), stats
+	}
 }

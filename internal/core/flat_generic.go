@@ -1,12 +1,8 @@
 package core
 
-// Flat-backend execution of §3.1, Algorithms 1-2: the LOCAL-model generic
-// (1−ε)-MCM as a RoundProgram. Segment-for-segment transliteration of
-// runGenericNode's blocking structure — the same floods with the same
-// per-round map copies (so Bits accounting matches), the same DFS
-// enumeration, the same RNG draw per led path in the same order — so a
-// flat run is bit-identical to a coroutine run with the same seed
-// (TestFlatMatchesCoroutineGeneric). Keep the two in lockstep.
+// §3.1, Algorithms 1-2, as a RoundProgram: the LOCAL-model generic
+// (1−ε)-MCM. Every flood round sends a fresh copy of the node's table, so
+// Stats charge the full Θ(|V|+|E|)-bit messages the paper states.
 
 import (
 	"sort"
@@ -41,7 +37,7 @@ type genericMachine struct {
 const (
 	gcView  uint8 = iota // inside the topology flood (Algorithm 2 gather)
 	gcMate               // inside the matching-state flood
-	gcProbe              // the termination StepOr round
+	gcProbe              // the termination oracle round
 	gcVal                // inside the priority flood
 )
 
@@ -118,7 +114,7 @@ func (m *genericMachine) OnRound(nd *dist.Node, in []dist.Incoming) (again bool)
 		return true
 
 	case gcProbe:
-		// The blocking StepOr discards this round's messages; so do we.
+		// The probe round carries no messages.
 		if !nd.GlobalOr() {
 			return m.endPhase(nd)
 		}

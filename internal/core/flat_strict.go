@@ -1,40 +1,32 @@
 package core
 
-// Flat-backend (dist.RoundProgram) execution of strict CONGEST mode: the
-// Lemma 3.7 chunk pipelining of bipartite_strict.go as dist.Machine
-// fragments, composed with dist.Seq into the same per-(ℓ, iteration)
-// pipeline. Each machine is a segment-for-segment transliteration of its
-// blocking original — the same chunk schedule, the same RNG draws in the
-// same order, the same window lengths, the same protocol-invariant
-// panics — so a strict flat run is bit-identical (matching, Stats,
-// per-round profile) to a strict coroutine run with the same seed;
-// TestFlatMatchesCoroutineStrict proves it. Keep the two forms in
-// lockstep when changing either.
+// Strict CONGEST execution of the §3.2 machinery: the Lemma 3.7 chunk
+// pipelining (window dims, priority packing and the per-window collector
+// live in bipartite_strict.go) as dist.Machine fragments, composed with
+// dist.Seq into the same per-(ℓ, iteration) pipeline as flat.go:
 //
-// The composition mirrors the blocking call tree one-to-one:
+//	strictPhasesMachine  (Seq over ℓ = 1, 3, …, 2k−1)
+//	strictAugmentMachine (BFS → probe/budget → token → commit)
+//	strictBFSMachine     (ℓ windows × jc sub-rounds)
+//	strictTokenMachine   (ℓ windows × jt sub-rounds)
+//	strictCommitMachine  (ℓ windows × jm sub-rounds)
 //
-//	runPhasesStrict    → strictPhasesMachine (Seq over ℓ = 1, 3, …, 2k−1)
-//	(inner iteration)  → strictAugmentMachine (BFS → probe/budget → token → commit)
-//	countingBFSStrict  → strictBFSMachine    (ℓ windows × jc sub-rounds)
-//	tokenPhaseStrict   → strictTokenMachine  (ℓ windows × jt sub-rounds)
-//	commitPhaseStrict  → strictCommitMachine (ℓ windows × jm sub-rounds)
-//
-// The blocking originals drive each window with a sendChunked closure
-// emitting chunk s at sub-round s; strictEmitter is that closure's state
-// made explicit, armed in the segment where the closure would be built
-// and emitted at the top of every sub-round segment.
+// Every hop of a phase uses the same window length, so the
+// layer-synchronous schedule — and with it the collision argument and the
+// protocol-invariant panics — carries over from the plain machines with
+// windows in place of rounds. A strictEmitter is armed in the segment
+// that decides to send a value and emits one chunk at the top of every
+// sub-round segment of the next window.
 
 import (
 	"fmt"
 	"math"
 
 	"distmatch/internal/dist"
-	"distmatch/internal/graph"
 )
 
 // strictEmitter holds one armed chunked transmission: value is emitted
-// lsb-first, capacity bits per sub-round, to every listed port — the
-// machine form of sendChunked's closure.
+// lsb-first, capacity bits per sub-round, to every listed port.
 type strictEmitter struct {
 	value uint64
 	bits  int
@@ -47,8 +39,7 @@ func (em *strictEmitter) arm(value uint64, bits int, kind uint8, ports []int) {
 	em.value, em.bits, em.kind, em.ports, em.on = value, bits, kind, ports, true
 }
 
-// emit sends sub-round s's chunk (idle filler sub-rounds send nothing),
-// exactly like the closure sendChunked returns.
+// emit sends sub-round s's chunk (idle filler sub-rounds send nothing).
 func (em *strictEmitter) emit(nd *dist.Node, s, capacity int) {
 	if !em.on {
 		return
@@ -67,8 +58,8 @@ func (em *strictEmitter) emit(nd *dist.Node, s, capacity int) {
 	}
 }
 
-// strictBFSMachine is countingBFSStrict in Machine form: the Algorithm 3
-// counting BFS with every hop chunked into jc sub-rounds, exactly
+// strictBFSMachine is the Algorithm 3 counting BFS with every hop chunked
+// into jc sub-rounds, exactly
 // ell*jc rounds. Start is window 1's first sub-round (the free X flood's
 // chunk 0); each OnRound absorbs one sub-round and, at window
 // boundaries, runs the reassembled-window logic.
@@ -137,9 +128,8 @@ func (m *strictBFSMachine) OnRound(nd *dist.Node, in []dist.Incoming) (done bool
 	return false
 }
 
-// closeWindow is the blocking variant's post-sub-round-loop body for
-// window m.w: first reception marks the node visited and forwards the
-// count sum chunked into the next window.
+// closeWindow runs at the end of window m.w: first reception marks the
+// node visited and forwards the count sum chunked into the next window.
 func (m *strictBFSMachine) closeWindow(nd *dist.Node) {
 	env, res, col := m.env, &m.res, m.col
 	if !env.participate || res.visited || len(col.got) == 0 {
@@ -179,8 +169,8 @@ func (m *strictBFSMachine) closeWindow(nd *dist.Node) {
 	}
 }
 
-// strictTokenMachine is tokenPhaseStrict in Machine form: the Luby token
-// walk with chunked (priority, leader) words, exactly ell*jt rounds.
+// strictTokenMachine is the Luby token walk with chunked (priority,
+// leader) words, exactly ell*jt rounds.
 type strictTokenMachine struct {
 	env    *phaseEnv
 	bfs    *bfsResult
@@ -198,8 +188,8 @@ func (m *strictTokenMachine) reset(env *phaseEnv, bfs *bfsResult, ell int, d str
 	m.env, m.bfs, m.ell, m.d = env, bfs, ell, d
 }
 
-// sampleBack chooses an in-edge with probability c_v[i]/n_v — the same
-// draw, FP guard included, as tokenPhaseStrict's closure.
+// sampleBack chooses an in-edge with probability c_v[i]/n_v, falling back
+// to the last positive-count port when float round-off overshoots.
 func (m *strictTokenMachine) sampleBack(nd *dist.Node) int {
 	x := nd.Rand().Float64() * m.bfs.total
 	acc := 0.0
@@ -305,8 +295,8 @@ func (m *strictTokenMachine) closeWindow(nd *dist.Node) {
 	}
 }
 
-// strictCommitMachine is commitPhaseStrict in Machine form: the §3.2
-// trace-back with chunked leader ids, exactly ell*jm rounds. flipped
+// strictCommitMachine is the §3.2 trace-back with chunked leader ids,
+// exactly ell*jm rounds. flipped
 // reports whether this node's matching state changed.
 type strictCommitMachine struct {
 	env     *phaseEnv
@@ -381,9 +371,8 @@ func (m *strictCommitMachine) closeWindow(nd *dist.Node) {
 	}
 }
 
-// strictAugmentMachine is runPhasesStrict's inner iteration loop in
-// Machine form — augmentMachine with every phase chunked to the strict
-// dims. changed reports whether this node's matching changed.
+// strictAugmentMachine is augmentMachine with every phase chunked to the
+// strict dims. changed reports whether this node's matching changed.
 type strictAugmentMachine struct {
 	dist.Seq
 	env    *phaseEnv
@@ -449,10 +438,9 @@ func (m *strictAugmentMachine) next(nd *dist.Node) dist.Machine {
 	}
 }
 
-// strictPhasesMachine is runPhasesStrict in Machine form: the strict
-// augment loop for ℓ = 1, 3, …, 2k−1, dims recomputed per phase exactly
-// like the blocking original. changed reports whether the local matching
-// changed.
+// strictPhasesMachine runs the strict augment loop for ℓ = 1, 3, …,
+// 2k−1, recomputing the window dims per phase. changed reports whether the
+// local matching changed.
 type strictPhasesMachine struct {
 	dist.Seq
 	env      *phaseEnv
@@ -486,27 +474,4 @@ func (m *strictPhasesMachine) next(nd *dist.Node) dist.Machine {
 	m.aug.reset(m.env, m.ell, d, m.oracle, budget)
 	m.ell += 2
 	return &m.aug
-}
-
-// runFlatBipartiteStrict is the flat-backend implementation behind
-// BipartiteMCMStrict/BipartiteMCMStrictWithConfig.
-func runFlatBipartiteStrict(g *graph.Graph, k int, cfg dist.Config, capacityBits int, oracle bool) (*graph.Matching, *dist.Stats) {
-	matchedEdge := make([]int32, g.N())
-	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
-		env := &phaseEnv{
-			st:          MatchState{MatchedPort: -1},
-			side:        nd.Side(),
-			participate: true,
-			active:      allPorts,
-		}
-		m := &strictPhasesMachine{}
-		m.reset(env, k, oracle, capacityBits)
-		return dist.AsProgram(m, func(nd *dist.Node) {
-			matchedEdge[nd.ID()] = -1
-			if env.st.MatchedPort >= 0 {
-				matchedEdge[nd.ID()] = int32(nd.EdgeID(env.st.MatchedPort))
-			}
-		})
-	})
-	return graph.CollectMatching(g, matchedEdge), stats
 }

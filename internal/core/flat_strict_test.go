@@ -1,16 +1,13 @@
 package core
 
-// Cross-backend equivalence proofs for the strict CONGEST port
-// (flat_strict.go): same seed ⇒ bit-identical matching and identical
-// Stats — including the capacity-capped MaxMessageBits and the chunked
-// per-round profile — on random and pathological topologies, both
-// termination modes, several worker counts and capacities, and under
-// crash-fault plans. Any divergence is a transliteration bug in
-// flat_strict.go or bipartite_strict.go.
+// Golden-digest suites for strict CONGEST execution (flat_strict.go):
+// same seed ⇒ the committed matching and Stats — including the
+// capacity-capped MaxMessageBits and the chunked per-round profile — on
+// random and pathological topologies, both termination modes, several
+// worker counts and capacities, and under crash-fault plans.
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"distmatch/internal/dist"
@@ -20,8 +17,8 @@ import (
 	"distmatch/internal/rng"
 )
 
-// TestFlatMatchesCoroutineStrict is the backend equivalence proof for the
-// Lemma 3.7 pipelining of Algorithm 3.
+// TestFlatMatchesCoroutineStrict pins the Lemma 3.7 pipelining of
+// Algorithm 3.
 func TestFlatMatchesCoroutineStrict(t *testing.T) {
 	tops := map[string]*graph.Graph{
 		"gnp":      gen.BipartiteGnp(rng.New(41), 24, 22, 0.15),
@@ -35,27 +32,22 @@ func TestFlatMatchesCoroutineStrict(t *testing.T) {
 			for _, oracle := range []bool{true, false} {
 				label := modeLabel(name, oracle)
 				key := fmt.Sprintf("%s/cap=%d", label, capacity)
-				cm, cst := BipartiteMCMStrictWithConfig(g, 2,
-					dist.Config{Seed: 19, Profile: true, Backend: dist.BackendCoroutine}, capacity, oracle)
-				if cst.MaxMessageBits > capacity {
-					t.Fatalf("%s/cap=%d: coroutine peak width %d exceeds capacity", label, capacity, cst.MaxMessageBits)
-				}
-				tab.Check(t, key, runDigest(g, cm, cst))
 				for _, workers := range []int{1, 3, 8} {
-					fm, fst := BipartiteMCMStrictWithConfig(g, 2,
-						dist.Config{Seed: 19, Profile: true, Workers: workers, Backend: dist.BackendFlat}, capacity, oracle)
-					matchingsEqual(t, label, g, cm, fm)
-					statsEqual(t, label, cst, fst)
-					tab.Check(t, key, runDigest(g, fm, fst))
+					m, st := BipartiteMCMStrictWithConfig(g, 2,
+						dist.Config{Seed: 19, Profile: true, Workers: workers}, capacity, oracle)
+					if st.MaxMessageBits > capacity {
+						t.Fatalf("%s: peak width %d exceeds capacity", key, st.MaxMessageBits)
+					}
+					tab.Check(t, key, runDigest(g, m, st))
 				}
 			}
 		}
 	}
 }
 
-// TestFlatMatchesCoroutineGeneralStrict is the backend equivalence proof
-// for Algorithm 4 with strict inner phases (Theorem 3.11's O(log n)-bit
-// claim as an execution constraint).
+// TestFlatMatchesCoroutineGeneralStrict pins Algorithm 4 with strict
+// inner phases (Theorem 3.11's O(log n)-bit claim as an execution
+// constraint).
 func TestFlatMatchesCoroutineGeneralStrict(t *testing.T) {
 	tops := map[string]*graph.Graph{
 		"gnp":   gen.Gnp(rng.New(43), 18, 0.25),
@@ -66,27 +58,23 @@ func TestFlatMatchesCoroutineGeneralStrict(t *testing.T) {
 		for _, oracle := range []bool{true, false} {
 			opts := GeneralOptions{Iters: 12, IdleStop: 6, Oracle: oracle, StrictCapacityBits: 6}
 			label := modeLabel(name, oracle)
-			cm, cst := GeneralMCMWithConfig(g, 3,
-				dist.Config{Seed: 23, Profile: true, Backend: dist.BackendCoroutine}, opts)
-			tab.Check(t, label, runDigest(g, cm, cst))
 			for _, workers := range []int{1, 4} {
-				fm, fst := GeneralMCMWithConfig(g, 3,
-					dist.Config{Seed: 23, Profile: true, Workers: workers, Backend: dist.BackendFlat}, opts)
-				matchingsEqual(t, label, g, cm, fm)
-				statsEqual(t, label, cst, fst)
-				tab.Check(t, label, runDigest(g, fm, fst))
+				m, st := GeneralMCMWithConfig(g, 3,
+					dist.Config{Seed: 23, Profile: true, Workers: workers}, opts)
+				tab.Check(t, label, runDigest(g, m, st))
 			}
 		}
 	}
 }
 
 // TestFlatMatchesCoroutineStrictFaulted replays crash-fault plans against
-// both backends of the strict phase pipeline: a crashed node goes silent,
-// which the protocol tolerates (silence never trips the route-validation
-// panics), and the two backends must stay bit-identical through it. The
-// runs are driven at the engine level because a crashed node never writes
-// its matched edge — the comparison is the raw per-node outcome array
-// (crashed entries keep the -2 sentinel), not a collected Matching.
+// the strict phase pipeline: a crashed node goes silent, which the
+// protocol tolerates (silence never trips the route-validation panics),
+// and the run must still match its committed digest, fault accounting
+// included. The runs are driven at the engine level because a crashed
+// node never writes its matched edge — the digest covers the raw per-node
+// outcome array (crashed entries keep the -2 sentinel), not a collected
+// Matching.
 func TestFlatMatchesCoroutineStrictFaulted(t *testing.T) {
 	g := gen.BipartiteGnp(rng.New(47), 20, 20, 0.2)
 	const k, capacity = 2, 5
@@ -100,16 +88,6 @@ func TestFlatMatchesCoroutineStrictFaulted(t *testing.T) {
 	for _, planSeed := range []uint64{1, 2, 3} {
 		key := fmt.Sprintf("plan=%d", planSeed)
 		plan := dist.RandomFaultPlan(planSeed, g.N(), g.M(), dist.FaultProfile{Rounds: 40, Crashes: 3})
-		cmatched := make([]int32, g.N())
-		for i := range cmatched {
-			cmatched[i] = -2
-		}
-		cst := dist.Run(g, dist.Config{Seed: 29, Profile: true, Faults: plan}, func(nd *dist.Node) {
-			st := &MatchState{MatchedPort: -1}
-			runPhasesStrict(nd, st, nd.Side(), true, allPorts, k, true, capacity)
-			outcome(nd, st, cmatched)
-		})
-		tab.Check(t, key, golden.New().Add(cmatched).Stats(cst))
 		for _, workers := range []int{1, 6} {
 			fmatched := make([]int32, g.N())
 			for i := range fmatched {
@@ -127,13 +105,6 @@ func TestFlatMatchesCoroutineStrictFaulted(t *testing.T) {
 					m.reset(env, k, true, capacity)
 					return dist.AsProgram(m, func(nd *dist.Node) { outcome(nd, &env.st, fmatched) })
 				})
-			if !reflect.DeepEqual(cmatched, fmatched) {
-				t.Fatalf("plan %d: outcomes differ: %v vs %v", planSeed, cmatched, fmatched)
-			}
-			statsEqual(t, "faulted", cst, fst)
-			if cst.CrashedNodes != fst.CrashedNodes || cst.SuppressedMessages != fst.SuppressedMessages {
-				t.Fatalf("plan %d: fault accounting differs: coro %v vs flat %v", planSeed, cst, fst)
-			}
 			tab.Check(t, key, golden.New().Add(fmatched).Stats(fst))
 		}
 	}

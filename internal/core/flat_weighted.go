@@ -1,15 +1,11 @@
 package core
 
-// Flat-backend execution of §4, Algorithm 5: the wrap-gain iteration as
-// a RoundProgram that derives w_M (one exchange round), drives the
-// lpr.WeightsMachine black box on it, and applies the length-3 wraps
-// (one release round) — exactly the segments of WeightedMWM's blocking
-// node program. Bit-identical for equal seeds, trace snapshots included
-// (TestFlatMatchesCoroutineWeighted).
+// §4, Algorithm 5, as a RoundProgram: each iteration derives w_M (one
+// exchange round), drives the lpr.WeightsMachine black box on it, and
+// applies the length-3 wraps (one release round).
 
 import (
 	"distmatch/internal/dist"
-	"distmatch/internal/graph"
 	"distmatch/internal/lpr"
 )
 
@@ -49,7 +45,7 @@ func (m *weightedMachine) Init(nd *dist.Node) (again bool) {
 }
 
 // sendWeights opens an iteration: exchange matched-edge weights to
-// evaluate w_M (round 1 of the blocking loop).
+// evaluate w_M.
 func (m *weightedMachine) sendWeights(nd *dist.Node) {
 	m.my = 0
 	if m.st.MatchedPort >= 0 {
@@ -133,18 +129,4 @@ func (m *weightedMachine) applyWraps(nd *dist.Node) (again bool) {
 	}
 	m.stage = wsRelease
 	return true
-}
-
-// runFlatWeighted is the flat-backend implementation behind
-// WeightedMWM/WeightedMWMWithConfig.
-func runFlatWeighted(g *graph.Graph, cfg dist.Config, iters int, oracle bool,
-	record func(nd *dist.Node, st *MatchState, it int)) ([]int32, *dist.Stats) {
-
-	matchedEdge := make([]int32, g.N())
-	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
-		return &weightedMachine{
-			oracle: oracle, iters: iters, matchedEdge: matchedEdge, record: record,
-		}
-	})
-	return matchedEdge, stats
 }

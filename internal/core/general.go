@@ -23,7 +23,7 @@ type GeneralOptions struct {
 	Iters int
 	// IdleStop, when positive, stops after this many consecutive
 	// iterations without any augmentation anywhere (detected with one
-	// StepOr per iteration). This is a practical convergence heuristic
+	// OR-oracle round per iteration). This is a practical convergence heuristic
 	// measured against the paper bound in experiment E4; zero disables it.
 	IdleStop int
 	// Oracle enables convergence detection inside each bipartite phase.
@@ -60,10 +60,8 @@ func GeneralMCM(g *graph.Graph, k int, seed uint64, opts GeneralOptions) (*graph
 }
 
 // GeneralMCMWithConfig is GeneralMCM with full engine configuration
-// (profiling, limits, backend selection — cfg.Backend picks between the
-// bit-identical coroutine and flat executions; auto means flat). Strict
-// CONGEST mode (opts.StrictCapacityBits > 0) runs on either backend:
-// the flat port of the chunk pipelining lives in flat_strict.go.
+// (profiling, limits, workers). opts.StrictCapacityBits > 0 runs the inner
+// phases through the strict chunk pipelining of flat_strict.go.
 func GeneralMCMWithConfig(g *graph.Graph, k int, cfg dist.Config, opts GeneralOptions) (*graph.Matching, *dist.Stats) {
 	if k < 3 {
 		panic("core: GeneralMCM requires k > 2 (Algorithm 4)")
@@ -72,64 +70,7 @@ func GeneralMCMWithConfig(g *graph.Graph, k int, cfg dist.Config, opts GeneralOp
 	if iters <= 0 {
 		iters = TheoryIters(k)
 	}
-	if cfg.Backend.UseFlat() {
-		return runFlatGeneral(g, k, cfg, opts, iters)
-	}
 	matchedEdge := make([]int32, g.N())
-	stats := dist.Run(g, cfg, func(nd *dist.Node) {
-		generalProgram(nd, k, iters, opts, matchedEdge)
-	})
+	stats := dist.RunFlat(g, cfg, generalFactory(k, iters, opts, matchedEdge))
 	return graph.CollectMatching(g, matchedEdge), stats
-}
-
-// generalProgram is Algorithm 4's blocking node program, shared by the
-// fresh entry point above and the batch GeneralMCMSeeds.
-func generalProgram(nd *dist.Node, k, iters int, opts GeneralOptions, matchedEdge []int32) {
-	st := &MatchState{MatchedPort: -1}
-	nbrRed := make([]bool, nd.Deg())
-	nbrIn := make([]bool, nd.Deg())
-	idle := 0
-	for it := 0; it < iters; it++ {
-		// Line 3: each node colors itself red or blue with equal
-		// probability, and exchanges colors.
-		red := nd.Rand().Bool()
-		nd.SendAll(colorMsg{red})
-		for _, m := range nd.Step() {
-			nbrRed[m.Port] = m.Msg.(colorMsg).red
-		}
-		// Line 4: V̂ membership = free, or matched bichromatically.
-		inVhat := st.MatchedPort == -1 || nbrRed[st.MatchedPort] != red
-		nd.SendAll(memberMsg{inVhat})
-		for _, m := range nd.Step() {
-			nbrIn[m.Port] = m.Msg.(memberMsg).in
-		}
-		active := func(p int) bool { return inVhat && nbrIn[p] && nbrRed[p] != red }
-		side := 0 // red nodes act as X
-		if !red {
-			side = 1
-		}
-		// Line 5-6: maximal augmentation of length ≤ 2k−1 inside Ĝ.
-		var changed bool
-		if opts.StrictCapacityBits > 0 {
-			changed = runPhasesStrict(nd, st, side, inVhat, active, k, opts.Oracle, opts.StrictCapacityBits)
-		} else {
-			changed = runPhases(nd, st, side, inVhat, active, k, opts.Oracle)
-		}
-
-		if opts.IdleStop > 0 {
-			_, any := nd.StepOr(changed)
-			if any {
-				idle = 0
-			} else {
-				idle++
-				if idle >= opts.IdleStop {
-					break
-				}
-			}
-		}
-	}
-	matchedEdge[nd.ID()] = -1
-	if st.MatchedPort >= 0 {
-		matchedEdge[nd.ID()] = int32(nd.EdgeID(st.MatchedPort))
-	}
 }

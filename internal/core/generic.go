@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"distmatch/internal/dist"
 	"distmatch/internal/graph"
@@ -103,131 +102,18 @@ func GenericMCM(g *graph.Graph, eps float64, seed uint64, oracle bool) (*graph.M
 }
 
 // GenericMCMWithConfig is GenericMCM with full engine configuration
-// (profiling, limits, backend selection — cfg.Backend picks between the
-// bit-identical coroutine and flat executions; auto means flat, via the
-// genericMachine of flat_generic.go).
+// (profiling, limits, workers); the node program is the genericMachine of
+// flat_generic.go.
 func GenericMCMWithConfig(g *graph.Graph, eps float64, cfg dist.Config, oracle bool) (*graph.Matching, *dist.Stats) {
 	if eps <= 0 || eps >= 1 {
 		panic("core: GenericMCM requires 0 < eps < 1")
 	}
 	k := int(math.Ceil(1 / eps))
 	matchedEdge := make([]int32, g.N())
-	if cfg.Backend.UseFlat() {
-		stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
-			return &genericMachine{k: k, oracle: oracle, matchedEdge: matchedEdge}
-		})
-		return graph.CollectMatching(g, matchedEdge), stats
-	}
-	stats := dist.Run(g, cfg, func(nd *dist.Node) {
-		runGenericNode(nd, k, oracle, matchedEdge)
+	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
+		return &genericMachine{k: k, oracle: oracle, matchedEdge: matchedEdge}
 	})
 	return graph.CollectMatching(g, matchedEdge), stats
-}
-
-func runGenericNode(nd *dist.Node, k int, oracle bool, matchedEdge []int32) {
-	self := int32(nd.ID())
-	radius := 2 * (2*k - 1) // flood radius 2ℓ for the largest phase
-
-	portOf := map[int32]int{}
-	for p := 0; p < nd.Deg(); p++ {
-		portOf[int32(nd.NbrID(p))] = p
-	}
-
-	// ---- Algorithm 2: gather the topology ball (radius rounds). ----
-	adj := map[int32][]int32{}
-	own := make([]int32, 0, nd.Deg())
-	for p := 0; p < nd.Deg(); p++ {
-		own = append(own, int32(nd.NbrID(p)))
-	}
-	sort.Slice(own, func(i, j int) bool { return own[i] < own[j] })
-	adj[self] = own
-	for r := 0; r < radius; r++ {
-		nd.SendAll(viewMsg{adj: copyAdj(adj)})
-		for _, in := range nd.Step() {
-			for id, nbrs := range in.Msg.(viewMsg).adj {
-				if _, ok := adj[id]; !ok {
-					adj[id] = nbrs
-				}
-			}
-		}
-	}
-
-	mate := int32(-1) // my matching state; -1 free
-
-	for ell := 1; ell <= 2*k-1; ell += 2 {
-		budget := GenericBudget(nd.N(), ell)
-		for it := 0; ; it++ {
-			// ---- Flood matching states (radius rounds). ----
-			mates := map[int32]int32{self: mate}
-			for r := 0; r < radius; r++ {
-				nd.SendAll(mateMsg{mate: copyMates(mates)})
-				for _, in := range nd.Step() {
-					for id, m := range in.Msg.(mateMsg).mate {
-						mates[id] = m
-					}
-				}
-			}
-
-			// ---- Enumerate the live paths this node leads; draw values. ----
-			led := enumerateLedPaths(self, adj, mates, ell)
-			entries := map[string]pathEntry{}
-			for _, sig := range led {
-				entries[sigKey(sig)] = pathEntry{sig: sig, val: nd.Rand().Float64()}
-			}
-
-			// ---- Termination / budget probe. ----
-			if oracle {
-				if _, any := nd.StepOr(len(led) > 0); !any {
-					break
-				}
-			} else if it >= budget {
-				break
-			}
-
-			// ---- Flood values (radius rounds). ----
-			for r := 0; r < radius; r++ {
-				nd.SendAll(valMsg{entries: copyEntries(entries)})
-				for _, in := range nd.Step() {
-					for key, e := range in.Msg.(valMsg).entries {
-						if _, ok := entries[key]; !ok {
-							entries[key] = e
-						}
-					}
-				}
-			}
-
-			// ---- Decide winners among paths through me; flip. ----
-			var mine []pathEntry
-			for _, e := range entries {
-				for _, v := range e.sig {
-					if v == self {
-						mine = append(mine, e)
-						break
-					}
-				}
-			}
-			for _, p := range mine {
-				if !winsEverywhere(p, entries) {
-					continue
-				}
-				// p is in the selected independent set: flip my local state.
-				i := indexIn(p.sig, self)
-				var newMate int32
-				if i%2 == 0 {
-					newMate = p.sig[i+1]
-				} else {
-					newMate = p.sig[i-1]
-				}
-				mate = newMate
-				break // at most one winner can contain me
-			}
-		}
-	}
-
-	matchedEdge[nd.ID()] = -1
-	if mate != -1 {
-		matchedEdge[nd.ID()] = int32(nd.EdgeID(portOf[mate]))
-	}
 }
 
 // winsEverywhere reports whether p beats every distinct conflicting entry.

@@ -24,9 +24,6 @@ type RepairOptions struct {
 	// Oracle selects convergence detection over the paper's fixed w.h.p.
 	// budgets, exactly as in BipartiteMCM.
 	Oracle bool
-	// Backend picks the execution form (auto means flat); both are
-	// bit-identical for equal seeds.
-	Backend dist.Backend
 }
 
 // RepairBipartite runs the phase machinery of BipartiteMCM on r's graph,
@@ -71,32 +68,21 @@ func RepairBipartite(r *dist.Runner, seed uint64, matchedEdge []int32, inRegion 
 	}
 	in := func(v int) bool { return inRegion == nil || inRegion[v] }
 
-	if opts.Backend.UseFlat() {
-		return r.RunFlat(seed, func(nd *dist.Node) dist.RoundProgram {
-			v := nd.ID()
-			env := &phaseEnv{
-				st:          MatchState{MatchedPort: matchedPortOf(nd, matchedEdge[v])},
-				side:        nd.Side(),
-				participate: in(v),
-			}
-			env.active = func(p int) bool { return nd.EdgeLive(p) && in(nd.NbrID(p)) }
-			m := &phasesMachine{}
-			m.reset(env, opts.K, opts.Oracle)
-			return dist.AsProgram(m, func(nd *dist.Node) {
-				if env.participate {
-					writeBack(nd, &env.st, matchedEdge)
-				}
-			})
-		})
-	}
-	return r.Run(seed, func(nd *dist.Node) {
+	return r.RunFlat(seed, func(nd *dist.Node) dist.RoundProgram {
 		v := nd.ID()
-		st := &MatchState{MatchedPort: matchedPortOf(nd, matchedEdge[v])}
-		active := func(p int) bool { return nd.EdgeLive(p) && in(nd.NbrID(p)) }
-		runPhases(nd, st, nd.Side(), in(v), active, opts.K, opts.Oracle)
-		if in(v) {
-			writeBack(nd, st, matchedEdge)
+		env := &phaseEnv{
+			st:          MatchState{MatchedPort: matchedPortOf(nd, matchedEdge[v])},
+			side:        nd.Side(),
+			participate: in(v),
 		}
+		env.active = func(p int) bool { return nd.EdgeLive(p) && in(nd.NbrID(p)) }
+		m := &phasesMachine{}
+		m.reset(env, opts.K, opts.Oracle)
+		return dist.AsProgram(m, func(nd *dist.Node) {
+			if env.participate {
+				writeBack(nd, &env.st, matchedEdge)
+			}
+		})
 	})
 }
 
@@ -108,9 +94,6 @@ func RepairBipartite(r *dist.Runner, seed uint64, matchedEdge []int32, inRegion 
 // the repair twin of the israeliitai batch machine recycling. Each
 // Repair is bit-identical to a RepairBipartite call with the same
 // arguments (TestRepairerMatchesRepairBipartite).
-//
-// The flat backend is used unconditionally (RepairOptions.Backend
-// BackendCoroutine falls back to the one-shot path — no slab to keep).
 type BipartiteRepairer struct {
 	r           *dist.Runner
 	opts        RepairOptions
@@ -151,9 +134,6 @@ func NewBipartiteRepairer(r *dist.Runner, matchedEdge []int32, opts RepairOption
 func (br *BipartiteRepairer) Repair(seed uint64, inRegion []bool) *dist.Stats {
 	if inRegion != nil && len(inRegion) != len(br.envs) {
 		panic("core: Repair inRegion length mismatch")
-	}
-	if !br.opts.Backend.UseFlat() {
-		return RepairBipartite(br.r, seed, br.matchedEdge, inRegion, br.opts)
 	}
 	br.region = inRegion
 	return br.r.RunFlat(seed, br.factory)

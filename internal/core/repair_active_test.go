@@ -5,7 +5,7 @@ package core
 // nodes stepped) must be bit-identical — matching, rounds, messages,
 // bits, per-round profile — to the PR-4 full sweep in which frozen nodes
 // step idly through every round, across topologies × worker counts ×
-// backends × repairer forms. This is the contract internal/dynamic's
+// repairer forms. This is the contract internal/dynamic's
 // Maintainer relies on for every incremental Apply.
 
 import (
@@ -37,8 +37,9 @@ func growBall(r *dist.Runner, matchedEdge []int32, seed int32, hops int) []int32
 
 // TestRepairActiveSetConformance drives two repair stages (empty-start
 // augmentation, then a second repair of a fresh region warm from the
-// first result) on every topology × worker count × backend, comparing
-// the full-sweep and active-set executions slot for slot.
+// first result) on every topology × worker count, comparing the
+// full-sweep and active-set executions slot for slot and both with the
+// committed digests.
 func TestRepairActiveSetConformance(t *testing.T) {
 	tops := map[string]*graph.Graph{
 		"gnp":   gen.BipartiteGnp(rng.New(71), 18, 16, 0.2),
@@ -60,16 +61,16 @@ func TestRepairActiveSetConformance(t *testing.T) {
 		n := g.N()
 		for _, k := range []int{2, 3} {
 			for _, workers := range []int{1, 3} {
-				for _, backend := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
+				{
 					label := name
 					runRepairs := func(active bool) ([]int32, []*dist.Stats) {
-						r := dist.NewRunner(g, dist.Config{Workers: workers, Profile: true, Backend: backend})
+						r := dist.NewRunner(g, dist.Config{Workers: workers, Profile: true})
 						defer r.Close()
 						matched := make([]int32, n)
 						for v := range matched {
 							matched[v] = -1
 						}
-						br := NewBipartiteRepairer(r, matched, RepairOptions{K: k, Oracle: true, Backend: backend})
+						br := NewBipartiteRepairer(r, matched, RepairOptions{K: k, Oracle: true})
 						var sts []*dist.Stats
 						for stage, seed := range []int32{0, int32(n / 2)} {
 							ids := growBall(r, matched, seed, 2*k-1)
@@ -93,17 +94,17 @@ func TestRepairActiveSetConformance(t *testing.T) {
 					tab.Check(t, fmt.Sprintf("%s/k=%d/full", name, k), digest(fullM, fullSt))
 					tab.Check(t, fmt.Sprintf("%s/k=%d/active", name, k), digest(actM, actSt))
 					if !reflect.DeepEqual(fullM, actM) {
-						t.Fatalf("%s k=%d w=%d %v: matchings diverge\nfull %v\nact  %v",
-							label, k, workers, backend, fullM, actM)
+						t.Fatalf("%s k=%d w=%d: matchings diverge\nfull %v\nact  %v",
+							label, k, workers, fullM, actM)
 					}
 					for i := range fullSt {
 						if fullSt[i].Rounds != actSt[i].Rounds || fullSt[i].Messages != actSt[i].Messages ||
 							fullSt[i].Bits != actSt[i].Bits {
-							t.Fatalf("%s k=%d w=%d %v stage %d: stats diverge: full %v vs active %v",
-								label, k, workers, backend, i, fullSt[i], actSt[i])
+							t.Fatalf("%s k=%d w=%d stage %d: stats diverge: full %v vs active %v",
+								label, k, workers, i, fullSt[i], actSt[i])
 						}
 						if !reflect.DeepEqual(fullSt[i].Profile, actSt[i].Profile) {
-							t.Fatalf("%s k=%d w=%d %v stage %d: profiles diverge", label, k, workers, backend, i)
+							t.Fatalf("%s k=%d w=%d stage %d: profiles diverge", label, k, workers, i)
 						}
 						if actSt[i].NodeRounds > fullSt[i].NodeRounds {
 							t.Fatalf("%s stage %d: active swept more than full (%d > %d)",

@@ -5,7 +5,6 @@ import (
 
 	"distmatch/internal/dist"
 	"distmatch/internal/graph"
-	"distmatch/internal/lpr"
 )
 
 // This file implements the paper's §4, Algorithm 5: the (½−ε)-approximate
@@ -52,19 +51,15 @@ func WeightedMWM(g *graph.Graph, eps float64, seed uint64, oracle bool, trace []
 }
 
 // WeightedMWMWithConfig is WeightedMWM with full engine configuration
-// (profiling, limits, backend selection — cfg.Backend picks between the
-// bit-identical coroutine and flat executions; auto means flat).
+// (profiling, limits, workers).
 func WeightedMWMWithConfig(g *graph.Graph, cfg dist.Config, eps float64, oracle bool, trace []*graph.Matching) (*graph.Matching, *dist.Stats) {
 	iters := WeightedIters(eps)
 	if trace != nil && len(trace) != iters+1 {
 		panic("core: trace must have WeightedIters(eps)+1 entries")
 	}
-	snap := make([][]int32, 0)
-	if trace != nil {
-		snap = make([][]int32, iters+1)
-		for i := range snap {
-			snap[i] = make([]int32, g.N())
-		}
+	snap := make([][]int32, len(trace))
+	for i := range snap {
+		snap[i] = make([]int32, g.N())
 	}
 	record := func(nd *dist.Node, st *MatchState, it int) {
 		if trace == nil {
@@ -77,82 +72,14 @@ func WeightedMWMWithConfig(g *graph.Graph, cfg dist.Config, eps float64, oracle 
 		snap[it][nd.ID()] = e
 	}
 
-	if cfg.Backend.UseFlat() {
-		matchedEdge, stats := runFlatWeighted(g, cfg, iters, oracle, record)
-		if trace != nil {
-			for i := range snap {
-				trace[i] = graph.CollectMatching(g, snap[i])
-			}
-		}
-		return graph.CollectMatching(g, matchedEdge), stats
-	}
-
 	matchedEdge := make([]int32, g.N())
-	stats := dist.Run(g, cfg, func(nd *dist.Node) {
-		st := &MatchState{MatchedPort: -1}
-		record(nd, st, 0)
-		wm := make([]float64, nd.Deg())
-		for it := 1; it <= iters; it++ {
-			// Round 1: exchange matched-edge weights to evaluate w_M.
-			my := 0.0
-			if st.MatchedPort >= 0 {
-				my = nd.EdgeWeight(st.MatchedPort)
-			}
-			nd.SendAll(mwMsg(my))
-			theirs := make([]float64, nd.Deg())
-			for _, m := range nd.Step() {
-				theirs[m.Port] = float64(m.Msg.(mwMsg))
-			}
-			for p := 0; p < nd.Deg(); p++ {
-				if p == st.MatchedPort {
-					wm[p] = 0 // w_M vanishes on matching edges
-					continue
-				}
-				// Canonical subtraction order (smaller endpoint first) so
-				// both endpoints compute bit-identical w_M values.
-				if nd.ID() < nd.NbrID(p) {
-					wm[p] = nd.EdgeWeight(p) - my - theirs[p]
-				} else {
-					wm[p] = nd.EdgeWeight(p) - theirs[p] - my
-				}
-			}
-
-			// Line 4: M′ ← δ-MWM(V, E, w_M) via the weight-class black box.
-			mPrimePort := lpr.RunLocalWeights(nd, wm, blackBoxEps, oracle)
-
-			// Line 5: M ← M ⊕ ⋃_{e∈M′} wrap(e). Nodes matched in M′
-			// re-mate and release their old partners; wraps may overlap at
-			// M-edges only (Lemma 4.1), which the release handles silently.
-			if mPrimePort >= 0 {
-				old := st.MatchedPort
-				st.MatchedPort = mPrimePort
-				if old >= 0 && old != mPrimePort {
-					nd.Send(old, releaseMsg{})
-				}
-			}
-			in := nd.Step()
-			for _, m := range in {
-				if _, ok := m.Msg.(releaseMsg); !ok {
-					continue
-				}
-				if m.Port == st.MatchedPort {
-					// Our partner left for an M′ edge; we become free.
-					st.MatchedPort = -1
-				}
-				// Otherwise we re-mated ourselves this iteration; the
-				// release of the old shared M-edge needs no action.
-			}
-			record(nd, st, it)
-		}
-		matchedEdge[nd.ID()] = -1
-		if st.MatchedPort >= 0 {
-			matchedEdge[nd.ID()] = int32(nd.EdgeID(st.MatchedPort))
+	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
+		return &weightedMachine{
+			oracle: oracle, iters: iters, matchedEdge: matchedEdge, record: record,
 		}
 	})
-	if trace != nil {
-		for i := range snap {
-			trace[i] = graph.CollectMatching(g, snap[i])
-		}
+	for i := range trace {
+		trace[i] = graph.CollectMatching(g, snap[i])
 	}
 	return graph.CollectMatching(g, matchedEdge), stats
 }

@@ -4,7 +4,7 @@ package dist
 // against closed-form totals computed by hand, so the per-chunk
 // amortized reductions (each worker accumulates parked/done/orCnt
 // privately; combine folds them once per round) are proven exact — not
-// just self-consistent across backends — under multi-worker sweeps,
+// just self-consistent across worker counts — under multi-worker sweeps,
 // early-done nodes and active-set execution.
 
 import (
@@ -36,14 +36,6 @@ func (c *auditCountdown) OnRound(nd *Node, in []Incoming) bool {
 	return true
 }
 
-// countdownCoro is the blocking twin: id StepOr barriers after the first
-// segment — the same id+1 segments.
-func countdownCoro(nd *Node) {
-	for i := 0; i < nd.ID(); i++ {
-		nd.StepOr(false)
-	}
-}
-
 // TestNodeRoundsExactAudit pins the full-sweep totals. With node id
 // running id+1 segments on n nodes:
 //
@@ -53,9 +45,9 @@ func countdownCoro(nd *Node) {
 //	OracleCalls = Σ_{r=1..n} (n-r) = n(n-1)/2
 //	Rounds      = n-1  (the last sweep parks nobody and charges nothing)
 //
-// The totals must hold bit-exactly on both backends at every worker
-// count — any chunk-reduction merge bug (lost worker counter, double
-// fold) breaks them.
+// The totals must hold bit-exactly at every worker count — any
+// chunk-reduction merge bug (lost worker counter, double fold) breaks
+// them.
 func TestNodeRoundsExactAudit(t *testing.T) {
 	const n = 37 // odd and prime: never divides evenly into worker chunks
 	g := gen.Gnp(rng.New(5), n, 0.1)
@@ -74,12 +66,11 @@ func TestNodeRoundsExactAudit(t *testing.T) {
 			t.Errorf("%s: Rounds = %d, want %d", label, st.Rounds, wantRounds)
 		}
 	}
-	check("coroutine", Run(g, Config{Seed: 1}, countdownCoro))
 	for _, workers := range []int{1, 2, 4, 8} {
 		st := RunFlat(g, Config{Seed: 1, Workers: workers}, func(nd *Node) RoundProgram {
 			return &auditCountdown{left: nd.ID()}
 		})
-		check("flat/w="+string(rune('0'+workers)), st)
+		check("w="+string(rune('0'+workers)), st)
 	}
 }
 

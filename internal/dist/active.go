@@ -6,9 +6,9 @@ import (
 )
 
 // Active-set execution: a run may be restricted to a subset of the nodes,
-// and everything the engine does per round — the worker sweeps on both
-// backends, mailbox collection, coroutine adoption, RNG reseeding, the
-// Runner's between-run mailbox hygiene — then costs O(active), not O(n).
+// and everything the engine does per round — the worker sweeps, mailbox
+// collection, program construction, RNG reseeding, the Runner's
+// between-run mailbox hygiene — then costs O(active), not O(n).
 // This is what makes regional repair on a large slab cost ∝ region
 // (internal/dynamic drives it from the dirty-region ball; see DESIGN.md
 // §1 and §6): the paper's locality guarantee says only a (2k−1)-hop ball
@@ -146,8 +146,8 @@ func (e *engine) planSweep() {
 }
 
 // forEachActive visits every node of the current run in increasing id
-// order — the cold-path twin of the worker sweeps (launch, reset,
-// abortLive, RunFlat factories).
+// order — the cold-path twin of the worker sweeps (reset, abortLive,
+// RunFlat factories).
 func (e *engine) forEachActive(f func(nd *Node)) {
 	switch e.sweep {
 	case sweepList:
@@ -182,7 +182,7 @@ func (e *engine) clearPrevMail() {
 	if e.prevAll {
 		clear(e.cur)
 		clear(e.nxt)
-		clear(e.progSlab)
+		clear(e.progs)
 		e.prevAll = false
 		return
 	}
@@ -197,9 +197,7 @@ func (e *engine) clearPrevMail() {
 				e.nxt[d] = nil
 			}
 		}
-		if e.progSlab != nil {
-			e.progSlab[v] = nil
-		}
+		e.progs[v] = nil
 	}
 }
 

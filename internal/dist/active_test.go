@@ -7,7 +7,7 @@ package dist
 //     bit-identical (outputs, rounds, messages, bits, peak width,
 //     per-round profile) to a full-sweep run of the same protocol whose
 //     excluded nodes are silent observers — across topologies × worker
-//     counts × both backends × one-shot and Runner paths × the sparse
+//     counts × one-shot and Runner paths × the sparse
 //     and dense sweep forms; and the honest accounting (NodeRounds,
 //     OracleCalls counting active nodes only) is pinned exactly.
 //   - TestActiveInactiveNodesUntouched: the engine invariant "inactive
@@ -36,54 +36,14 @@ func (tval) Bits() int { return 64 }
 // regionalRounds is the barrier count of the conformance protocol.
 const regionalRounds = 7
 
-// regionalBlocking is the conformance protocol in blocking form. A
-// participant draws one random value per round, sends a per-port mix of
-// it to participating neighbors, folds everything it receives into an
-// accumulator, and every third barrier is an oracle round. A
-// non-participant is a silent observer: it steps through the identical
-// barrier structure but never sends, never draws, and submits the oracle
-// identity — the exact shape of core's participate=false phases, and the
-// shape active-set execution is allowed to skip.
-func regionalBlocking(part []bool, out []uint64) func(*Node) {
-	return func(nd *Node) {
-		if !part[nd.ID()] {
-			for r := 0; r < regionalRounds; r++ {
-				if r%3 == 2 {
-					nd.StepOr(false)
-				} else {
-					nd.Step()
-				}
-			}
-			return
-		}
-		acc := uint64(nd.ID())
-		for r := 0; r < regionalRounds; r++ {
-			x := nd.Rand().Uint64()
-			for p := 0; p < nd.Deg(); p++ {
-				if part[nd.NbrID(p)] {
-					nd.Send(p, tval(x^uint64(p)))
-				}
-			}
-			var in []Incoming
-			if r%3 == 2 {
-				var any bool
-				in, any = nd.StepOr(x%3 == 0)
-				if any {
-					acc += 13
-				}
-			} else {
-				in = nd.Step()
-			}
-			for _, m := range in {
-				acc += uint64(m.Msg.(tval))
-			}
-		}
-		out[nd.ID()] = acc
-	}
-}
-
-// regionalFlat is the segment-for-segment transliteration of
-// regionalBlocking (same sends, same RNG draws, same barriers).
+// regionalFlat is the conformance protocol. A participant draws one
+// random value per round, sends a per-port mix of it to participating
+// neighbors, folds everything it receives into an accumulator, and every
+// third barrier is an oracle round. A non-participant is a silent
+// observer: it steps through the identical barrier structure but never
+// sends, never draws, and submits the oracle identity — the exact shape of
+// core's participate=false phases, and the shape active-set execution is
+// allowed to skip.
 type regionalFlat struct {
 	part []bool
 	out  []uint64
@@ -183,10 +143,10 @@ func activeStatsEqual(t *testing.T, label string, full, act *Stats, activeCount 
 	}
 }
 
-// TestActiveConformance is the cross-backend active-set conformance
-// suite: every (topology × active set × worker count × backend) cell
-// compares the full-sweep observer run against one-shot Config.ActiveSet
-// and Runner.SetActive executions.
+// TestActiveConformance is the active-set conformance suite: every
+// (topology × active set × worker count) cell compares the full-sweep
+// observer run against one-shot Config.ActiveSet and Runner.SetActive
+// executions.
 func TestActiveConformance(t *testing.T) {
 	tops := map[string]*graph.Graph{
 		"gnp":  gen.Gnp(rng.New(41), 24, 0.18),
@@ -210,32 +170,17 @@ func TestActiveConformance(t *testing.T) {
 			for _, workers := range []int{1, 2, 3} {
 				label := name + "/" + sname
 				fullOut := make([]uint64, n)
-				fullSt := Run(g, Config{Seed: 5, Workers: workers, Profile: true},
-					regionalBlocking(part, fullOut))
+				fullSt := RunFlat(g, Config{Seed: 5, Workers: workers, Profile: true},
+					func(*Node) RoundProgram { return &regionalFlat{part: part, out: fullOut} })
+				activeStatsEqual(t, label+"/full", fullSt, fullSt, n) // full sweep: NodeRounds over all n
 
-				// Coroutine backend, one-shot Config.ActiveSet.
+				// One-shot Config.ActiveSet.
 				actOut := make([]uint64, n)
-				actSt := Run(g, Config{Seed: 5, Workers: workers, Profile: true, ActiveSet: ids},
-					regionalBlocking(part, actOut))
-				activeStatsEqual(t, label+"/coro", fullSt, actSt, len(ids))
+				actSt := RunFlat(g, Config{Seed: 5, Workers: workers, Profile: true, ActiveSet: ids},
+					func(*Node) RoundProgram { return &regionalFlat{part: part, out: actOut} })
+				activeStatsEqual(t, label+"/active", fullSt, actSt, len(ids))
 				if !reflect.DeepEqual(fullOut, actOut) {
-					t.Fatalf("%s/coro workers=%d: outputs differ\nfull %v\nact  %v", label, workers, fullOut, actOut)
-				}
-
-				// Flat backend, one-shot.
-				flatFull := make([]uint64, n)
-				ffSt := RunFlat(g, Config{Seed: 5, Workers: workers, Profile: true},
-					func(*Node) RoundProgram { return &regionalFlat{part: part, out: flatFull} })
-				activeStatsEqual(t, label+"/flat-vs-coro", fullSt, ffSt, n) // full flat: NodeRounds over all n
-				if !reflect.DeepEqual(fullOut, flatFull) {
-					t.Fatalf("%s: flat full-sweep output diverges from coroutine", label)
-				}
-				flatAct := make([]uint64, n)
-				faSt := RunFlat(g, Config{Seed: 5, Workers: workers, Profile: true, ActiveSet: ids},
-					func(*Node) RoundProgram { return &regionalFlat{part: part, out: flatAct} })
-				activeStatsEqual(t, label+"/flat", ffSt, faSt, len(ids))
-				if !reflect.DeepEqual(fullOut, flatAct) {
-					t.Fatalf("%s/flat workers=%d: outputs differ", label, workers)
+					t.Fatalf("%s workers=%d: outputs differ\nfull %v\nact  %v", label, workers, fullOut, actOut)
 				}
 
 				// Runner path: SetActive, then ClearActive back to full —
@@ -262,10 +207,10 @@ func TestActiveConformance(t *testing.T) {
 }
 
 // TestActiveInactiveNodesUntouched is the engine-invariant property test:
-// across both backends and both sweep forms, an inactive node executes no
+// across both sweep forms, an inactive node executes no
 // program segment, sends and receives nothing, and its RNG stream does
-// not advance. Any silent full sweep — a backend stepping everyone, a
-// reset touching every stream — fails here.
+// not advance. Any silent full sweep — a sweep stepping everyone, a reset
+// touching every stream — fails here.
 func TestActiveInactiveNodesUntouched(t *testing.T) {
 	g := gen.Gnp(rng.New(9), 20, 0.25)
 	n := g.N()
@@ -316,14 +261,6 @@ func TestActiveInactiveNodesUntouched(t *testing.T) {
 			}
 			if rn.e.rnds[v] != before[v] {
 				t.Fatalf("%s: inactive node %d's RNG stream advanced", tc.name, v)
-			}
-		}
-		// Coroutine path too: inactive streams must survive a blocking run.
-		copy(before, rn.e.rnds)
-		rn.Run(5, regionalBlocking(part, make([]uint64, n)))
-		for v := 0; v < n; v++ {
-			if !part[v] && rn.e.rnds[v] != before[v] {
-				t.Fatalf("%s/coro: inactive node %d's RNG stream advanced", tc.name, v)
 			}
 		}
 		rn.Close()
@@ -547,6 +484,13 @@ func TestActiveEmptyAndReporter(t *testing.T) {
 
 	rn := NewRunner(g, Config{})
 	defer rn.Close()
+	report := func(got *[]int) func(*Node) RoundProgram {
+		return once(func(nd *Node) {
+			if nd.Reporter() {
+				*got = append(*got, nd.ID())
+			}
+		})
+	}
 	for _, ids := range [][]int32{{7, 3, 9}, {4, 0, 2, 6, 8, 10}} {
 		rn.SetActive(ids)
 		min := ids[0]
@@ -556,22 +500,14 @@ func TestActiveEmptyAndReporter(t *testing.T) {
 			}
 		}
 		var got []int
-		rn.Run(1, func(nd *Node) {
-			if nd.Reporter() {
-				got = append(got, nd.ID())
-			}
-		})
+		rn.RunFlat(1, report(&got))
 		if len(got) != 1 || int32(got[0]) != min {
 			t.Fatalf("reporter for %v = %v, want [%d]", ids, got, min)
 		}
 	}
 	rn.ClearActive()
 	var got []int
-	rn.Run(1, func(nd *Node) {
-		if nd.Reporter() {
-			got = append(got, nd.ID())
-		}
-	})
+	rn.RunFlat(1, report(&got))
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("full-sweep reporter = %v, want [0]", got)
 	}
@@ -579,7 +515,7 @@ func TestActiveEmptyAndReporter(t *testing.T) {
 
 // TestActivePanicTransport: a panic inside an active node's program
 // aborts the run, re-panics in the caller, and leaves the Runner
-// reusable with a different active set — on both backends.
+// reusable with a different active set — from Init and from OnRound.
 func TestActivePanicTransport(t *testing.T) {
 	g := ring(10)
 	rn := NewRunner(g, Config{})
@@ -598,14 +534,7 @@ func TestActivePanicTransport(t *testing.T) {
 	mustPanic(func() {
 		rn.RunFlat(1, func(*Node) RoundProgram { return panicOnInit{} })
 	})
-	mustPanic(func() {
-		rn.Run(1, func(nd *Node) {
-			if nd.ID() == 5 {
-				panic("boom")
-			}
-			nd.Step()
-		})
-	})
+	mustPanic(func() { rn.RunFlat(1, boomAt(5, "boom")) })
 	// The Runner is still healthy under a new active set.
 	rn.SetActive([]int32{0, 1})
 	st := rn.RunFlat(2, func(*Node) RoundProgram { return poisonProg{} })

@@ -38,9 +38,25 @@ func ring(n int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// once adapts a single-segment body to a RoundProgram that finishes in
+// round 0.
+func once(f func(nd *Node)) func(*Node) RoundProgram {
+	return func(*Node) RoundProgram {
+		return &stepProg{init: func(nd *Node) bool { f(nd); return false }}
+	}
+}
+
+// forever is a program that never finishes on its own.
+func forever(*Node) RoundProgram {
+	return &stepProg{
+		init:    func(nd *Node) bool { return true },
+		onRound: func(nd *Node, in []Incoming) bool { return true },
+	}
+}
+
 func TestNodeGeometry(t *testing.T) {
 	g := triangle(t)
-	Run(g, Config{Seed: 1}, func(nd *Node) {
+	RunFlat(g, Config{Seed: 1}, once(func(nd *Node) {
 		if nd.N() != 3 || nd.Deg() != 2 || nd.MaxDegree() != 2 {
 			t.Errorf("node %d: bad geometry N=%d deg=%d Δ=%d", nd.ID(), nd.N(), nd.Deg(), nd.MaxDegree())
 		}
@@ -56,71 +72,90 @@ func TestNodeGeometry(t *testing.T) {
 				t.Errorf("unweighted edge reported weight %v", nd.EdgeWeight(p))
 			}
 		}
-	})
+	}))
 }
 
-// TestStatsAccounting audits every Stats field on a run whose traffic can
-// be counted by hand: on the triangle, each node sends one Signal to each
-// neighbor in round 1 (6 messages, 6 bits), then node 0 alone sends one
-// 5-bit Count in round 2 (1 message), then everyone StepOrs (round 3).
-func TestStatsAccounting(t *testing.T) {
-	g := triangle(t)
-	st := Run(g, Config{Seed: 7, Profile: true}, func(nd *Node) {
-		nd.SendAll(Signal{})
-		in := nd.Step()
-		if len(in) != 2 {
-			t.Errorf("node %d: %d incoming, want 2", nd.ID(), len(in))
+// triangleAudit is traffic that can be counted by hand: on the triangle,
+// each node sends one Signal to each neighbor in round 1 (6 messages, 6
+// bits), then node 0 alone sends one 5-bit Count in round 2 (1 message),
+// then everyone submits to the OR oracle (round 3).
+func triangleAudit(t *testing.T) func(*Node) RoundProgram {
+	return func(*Node) RoundProgram {
+		round := 0
+		return &stepProg{
+			init: func(nd *Node) bool {
+				nd.SendAll(Signal{})
+				return true
+			},
+			onRound: func(nd *Node, in []Incoming) bool {
+				round++
+				switch round {
+				case 1:
+					if len(in) != 2 {
+						t.Errorf("node %d: %d incoming, want 2", nd.ID(), len(in))
+					}
+					if nd.ID() == 0 {
+						nd.Send(1, Count(17)) // 17 needs 5 bits
+					}
+					return true
+				case 2:
+					for _, m := range in {
+						if c, ok := m.Msg.(Count); !ok || c != 17 {
+							t.Errorf("node %d: unexpected delivery %v", nd.ID(), m)
+						}
+					}
+					nd.SubmitOr(false)
+					return true
+				}
+				return false
+			},
 		}
-		if nd.ID() == 0 {
-			nd.Send(1, Count(17)) // 17 needs 5 bits
-		}
-		in = nd.Step()
-		for _, m := range in {
-			if c, ok := m.Msg.(Count); !ok || c != 17 {
-				t.Errorf("node %d: unexpected delivery %v", nd.ID(), m)
-			}
-		}
-		nd.StepOr(false)
-	})
-	if st.Rounds != 3 {
-		t.Fatalf("Rounds = %d, want 3", st.Rounds)
 	}
-	if st.Messages != 7 {
-		t.Fatalf("Messages = %d, want 7", st.Messages)
-	}
-	if st.Bits != 6+5 {
-		t.Fatalf("Bits = %d, want 11", st.Bits)
-	}
-	if st.MaxMessageBits != 5 {
-		t.Fatalf("MaxMessageBits = %d, want 5", st.MaxMessageBits)
+}
+
+// checkTriangleAudit audits every Stats field of a triangleAudit run.
+func checkTriangleAudit(t *testing.T, label string, st *Stats) {
+	t.Helper()
+	if st.Rounds != 3 || st.Messages != 7 || st.Bits != 6+5 || st.MaxMessageBits != 5 {
+		t.Fatalf("%s: rounds/messages/bits/peak = %d/%d/%d/%d, want 3/7/11/5",
+			label, st.Rounds, st.Messages, st.Bits, st.MaxMessageBits)
 	}
 	if st.OracleCalls != 3 {
-		t.Fatalf("OracleCalls = %d, want 3 (one per node)", st.OracleCalls)
+		t.Fatalf("%s: OracleCalls = %d, want 3 (one per node)", label, st.OracleCalls)
+	}
+	if st.NodeRounds != 3*4 {
+		t.Fatalf("%s: NodeRounds = %d, want 12 (3 nodes × 4 segments)", label, st.NodeRounds)
 	}
 	if len(st.Profile) != 3 {
-		t.Fatalf("Profile has %d rounds, want 3", len(st.Profile))
+		t.Fatalf("%s: Profile has %d rounds, want 3", label, len(st.Profile))
 	}
 	p := st.Profile
 	if p[0].Messages != 6 || p[0].Bits != 6 || p[0].MaxBits != 1 || p[0].Oracle {
-		t.Fatalf("round 0 profile wrong: %+v", p[0])
+		t.Fatalf("%s: round 0 profile wrong: %+v", label, p[0])
 	}
 	if p[1].Messages != 1 || p[1].Bits != 5 || p[1].MaxBits != 5 || p[1].Oracle {
-		t.Fatalf("round 1 profile wrong: %+v", p[1])
+		t.Fatalf("%s: round 1 profile wrong: %+v", label, p[1])
 	}
 	if p[2].Messages != 0 || !p[2].Oracle {
-		t.Fatalf("round 2 profile wrong: %+v", p[2])
+		t.Fatalf("%s: round 2 profile wrong: %+v", label, p[2])
 	}
 	// Pipelining estimate: rounds of 1, 5 and 0 bits under a 2-bit cap
 	// cost ⌈1/2⌉+⌈5/2⌉+1 = 1+3+1.
 	if pr := st.PipelinedRounds(2); pr != 5 {
-		t.Fatalf("PipelinedRounds(2) = %d, want 5", pr)
+		t.Fatalf("%s: PipelinedRounds(2) = %d, want 5", label, pr)
 	}
 	if pr := st.PipelinedRounds(0); pr != st.Rounds {
-		t.Fatalf("PipelinedRounds(0) = %d, want Rounds", pr)
+		t.Fatalf("%s: PipelinedRounds(0) = %d, want Rounds", label, pr)
 	}
 	if s := st.String(); !strings.Contains(s, "rounds=3") {
-		t.Fatalf("String() = %q", s)
+		t.Fatalf("%s: String() = %q", label, s)
 	}
+}
+
+// TestStatsAccounting audits every Stats field on the hand-countable
+// triangle traffic.
+func TestStatsAccounting(t *testing.T) {
+	checkTriangleAudit(t, "fresh", RunFlat(triangle(t), Config{Seed: 7, Profile: true}, triangleAudit(t)))
 }
 
 // TestDeliveryAndPortOrder checks that messages arrive on the right ports
@@ -131,59 +166,38 @@ func TestDeliveryAndPortOrder(t *testing.T) {
 		Signal
 		from int32
 	}
-	Run(g, Config{Seed: 1}, func(nd *Node) {
-		nd.SendAll(tag{from: int32(nd.ID())})
-		in := nd.Step()
-		if len(in) != 2 {
-			t.Errorf("node %d: %d incoming", nd.ID(), len(in))
-		}
-		for i, m := range in {
-			if i > 0 && in[i-1].Port >= m.Port {
-				t.Errorf("node %d: ports out of order: %v", nd.ID(), in)
-			}
-			if int(m.Msg.(tag).from) != nd.NbrID(m.Port) {
-				t.Errorf("node %d: message from %d arrived on port to %d",
-					nd.ID(), m.Msg.(tag).from, nd.NbrID(m.Port))
-			}
-		}
-		// No further sends: the next round must deliver nothing.
-		if in := nd.Step(); len(in) != 0 {
-			t.Errorf("node %d: stale delivery %v", nd.ID(), in)
-		}
-	})
-}
-
-// TestStepOrSemantics: the OR is over all submitted values of that round.
-func TestStepOrSemantics(t *testing.T) {
-	g := path4(t)
-	Run(g, Config{Seed: 1}, func(nd *Node) {
-		if _, or := nd.StepOr(nd.ID() == 2); !or {
-			t.Errorf("node %d: OR with one true input reported false", nd.ID())
-		}
-		if _, or := nd.StepOr(false); or {
-			t.Errorf("node %d: OR of all-false reported true", nd.ID())
-		}
-	})
-}
-
-// TestStepMaxSemantics: the max is over all submitted values.
-func TestStepMaxSemantics(t *testing.T) {
-	g := path4(t)
-	st := Run(g, Config{Seed: 1}, func(nd *Node) {
-		vals := []float64{3, -8, 11, 0.5}
-		if _, mx := nd.StepMax(vals[nd.ID()]); mx != 11 {
-			t.Errorf("node %d: max = %v, want 11", nd.ID(), mx)
-		}
-		if _, mx := nd.StepMax(-float64(nd.ID() + 1)); mx != -1 {
-			t.Errorf("node %d: max = %v, want -1", nd.ID(), mx)
+	RunFlat(g, Config{Seed: 1}, func(*Node) RoundProgram {
+		round := 0
+		return &stepProg{
+			init: func(nd *Node) bool {
+				nd.SendAll(tag{from: int32(nd.ID())})
+				return true
+			},
+			onRound: func(nd *Node, in []Incoming) bool {
+				round++
+				if round == 2 {
+					// No further sends: this round must deliver nothing.
+					if len(in) != 0 {
+						t.Errorf("node %d: stale delivery %v", nd.ID(), in)
+					}
+					return false
+				}
+				if len(in) != 2 {
+					t.Errorf("node %d: %d incoming", nd.ID(), len(in))
+				}
+				for i, m := range in {
+					if i > 0 && in[i-1].Port >= m.Port {
+						t.Errorf("node %d: ports out of order: %v", nd.ID(), in)
+					}
+					if int(m.Msg.(tag).from) != nd.NbrID(m.Port) {
+						t.Errorf("node %d: message from %d arrived on port to %d",
+							nd.ID(), m.Msg.(tag).from, nd.NbrID(m.Port))
+					}
+				}
+				return true
+			},
 		}
 	})
-	if st.OracleCalls != 8 {
-		t.Fatalf("OracleCalls = %d, want 8", st.OracleCalls)
-	}
-	if st.Rounds != 2 {
-		t.Fatalf("Rounds = %d, want 2", st.Rounds)
-	}
 }
 
 // TestDeterminismAcrossWorkerCounts is the parallel-equals-serial proof:
@@ -193,17 +207,24 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	g := ring(257) // odd prime, forces uneven chunks
 	run := func(workers int) ([]uint64, Stats) {
 		out := make([]uint64, g.N())
-		st := Run(g, Config{Seed: 42, Workers: workers}, func(nd *Node) {
-			r := nd.Rand()
-			for round := 0; round < 8; round++ {
-				pick := r.Intn(nd.Deg())
-				nd.Send(pick, Count(float64(nd.ID()+round)))
-				in := nd.Step()
-				h := out[nd.ID()]
-				for _, m := range in {
-					h = h*1000003 + uint64(m.Port)<<32 + uint64(float64(m.Msg.(Count)))
-				}
-				out[nd.ID()] = h
+		st := RunFlat(g, Config{Seed: 42, Workers: workers}, func(*Node) RoundProgram {
+			round := 0
+			send := func(nd *Node) { nd.Send(nd.Rand().Intn(nd.Deg()), Count(float64(nd.ID()+round))) }
+			return &stepProg{
+				init: func(nd *Node) bool { send(nd); return true },
+				onRound: func(nd *Node, in []Incoming) bool {
+					h := out[nd.ID()]
+					for _, m := range in {
+						h = h*1000003 + uint64(m.Port)<<32 + uint64(float64(m.Msg.(Count)))
+					}
+					out[nd.ID()] = h
+					round++
+					if round == 8 {
+						return false
+					}
+					send(nd)
+					return true
+				},
 			}
 		})
 		return out, *st
@@ -229,12 +250,12 @@ func TestSeedSensitivity(t *testing.T) {
 	g := ring(16)
 	draw := func(seed uint64) uint64 {
 		var acc uint64
-		Run(g, Config{Seed: seed}, func(nd *Node) {
+		RunFlat(g, Config{Seed: seed}, once(func(nd *Node) {
 			v := nd.Rand().Uint64()
 			if nd.ID() == 0 {
 				acc = v
 			}
-		})
+		}))
 		return acc
 	}
 	if draw(1) == draw(2) {
@@ -245,40 +266,45 @@ func TestSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestEarlyReturnAndFinalSends: a node may return while others continue;
-// messages sent in its final segment are still delivered, and rounds keep
-// counting while anyone is running.
+// TestEarlyReturnAndFinalSends: a node may finish while others continue;
+// its final-segment sends are delivered exactly once — in staged delivery
+// too, where the finished node's out-slots must be washed — and rounds
+// keep counting while anyone is running.
 func TestEarlyReturnAndFinalSends(t *testing.T) {
 	g := path4(t)
-	var got Incoming
-	st := Run(g, Config{Seed: 1}, func(nd *Node) {
-		if nd.ID() == 0 {
-			nd.Send(0, Bit(true)) // farewell to node 1, then exit
-			return
-		}
-		in := nd.Step()
-		if nd.ID() == 1 {
-			if len(in) != 1 {
-				t.Errorf("node 1: want the farewell, got %v", in)
-			} else {
-				got = in[0]
+	for _, workers := range []int{1, 2} {
+		heard := 0
+		st := RunFlat(g, Config{Seed: 1, Workers: workers}, func(*Node) RoundProgram {
+			step := 0
+			return &stepProg{
+				init: func(nd *Node) bool {
+					if nd.ID() == 0 {
+						nd.Send(0, Bit(true)) // farewell to node 1, then exit
+						return false
+					}
+					return true
+				},
+				onRound: func(nd *Node, in []Incoming) bool {
+					step++
+					if nd.ID() == 1 {
+						heard += len(in)
+					}
+					return step < 3 // three rounds among the survivors
+				},
 			}
+		})
+		if heard != 1 {
+			t.Fatalf("workers=%d: node 1 heard %d messages, want the farewell once", workers, heard)
 		}
-		nd.Step() // one more round among the survivors
-	})
-	if b, ok := got.Msg.(Bit); !ok || !bool(b) {
-		t.Fatalf("farewell not delivered: %+v", got)
-	}
-	if st.Rounds != 2 {
-		t.Fatalf("Rounds = %d, want 2", st.Rounds)
-	}
-	if st.Messages != 1 {
-		t.Fatalf("Messages = %d, want 1", st.Messages)
+		if st.Rounds != 3 || st.Messages != 1 {
+			t.Fatalf("workers=%d: stats = %v, want rounds=3 messages=1", workers, st)
+		}
 	}
 }
 
 // TestPanicPropagation: a node-program panic aborts the run and re-panics
-// with the same value in the caller; other nodes' programs are unwound.
+// with the same value in the caller; the other nodes' programs are
+// cancelled.
 func TestPanicPropagation(t *testing.T) {
 	g := triangle(t)
 	defer func() {
@@ -290,20 +316,23 @@ func TestPanicPropagation(t *testing.T) {
 			t.Fatalf("wrong panic value: %v", r)
 		}
 	}()
-	Run(g, Config{Seed: 1}, func(nd *Node) {
-		nd.Step()
-		if nd.ID() == 2 {
-			panic("boom-2")
-		}
-		for {
-			nd.Step() // survivors would spin forever without the abort
+	RunFlat(g, Config{Seed: 1}, func(*Node) RoundProgram {
+		return &stepProg{
+			init: func(nd *Node) bool { return true },
+			onRound: func(nd *Node, in []Incoming) bool {
+				if nd.ID() == 2 {
+					panic("boom-2")
+				}
+				return true // survivors would run forever without the abort
+			},
 		}
 	})
-	t.Fatal("Run returned despite panic")
+	t.Fatal("RunFlat returned despite panic")
 }
 
 // TestPanicLowestIDWins: when several nodes panic in the same round, the
-// reported value is deterministic (lowest node id).
+// reported value is deterministic (lowest node id) — here from Init, the
+// round-0 segment.
 func TestPanicLowestIDWins(t *testing.T) {
 	g := ring(6)
 	for trial := 0; trial < 3; trial++ {
@@ -313,11 +342,16 @@ func TestPanicLowestIDWins(t *testing.T) {
 					t.Fatalf("got %v, want boom-1", r)
 				}
 			}()
-			Run(g, Config{Seed: uint64(trial), Workers: 1 + trial}, func(nd *Node) {
-				if nd.ID()%2 == 1 {
-					panic(fmt.Sprintf("boom-%d", nd.ID()))
+			RunFlat(g, Config{Seed: uint64(trial), Workers: 1 + trial}, func(*Node) RoundProgram {
+				return &stepProg{
+					init: func(nd *Node) bool {
+						if nd.ID()%2 == 1 {
+							panic(fmt.Sprintf("boom-%d", nd.ID()))
+						}
+						return true
+					},
+					onRound: func(*Node, []Incoming) bool { return false },
 				}
-				nd.Step()
 			})
 		}()
 	}
@@ -327,34 +361,35 @@ func TestPanicLowestIDWins(t *testing.T) {
 // rounds terminates normally — the limit means "exceeds", not "reaches".
 func TestMaxRoundsExactFitSurvives(t *testing.T) {
 	g := triangle(t)
-	st := Run(g, Config{Seed: 1, MaxRounds: 3}, func(nd *Node) {
-		nd.Step()
-		nd.Step()
-		nd.Step()
+	st := RunFlat(g, Config{Seed: 1, MaxRounds: 3}, func(*Node) RoundProgram {
+		step := 0
+		return &stepProg{
+			init:    func(nd *Node) bool { return true },
+			onRound: func(nd *Node, in []Incoming) bool { step++; return step < 3 },
+		}
 	})
 	if st.Rounds != 3 {
 		t.Fatalf("Rounds = %d, want 3", st.Rounds)
 	}
 }
 
-// TestMaxRounds: the round limit guards against non-terminating protocols.
+// TestMaxRounds: the round limit guards against non-terminating
+// protocols, and the abort names how many nodes were still running.
 func TestMaxRounds(t *testing.T) {
 	g := triangle(t)
 	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MaxRounds") {
-			t.Fatalf("expected MaxRounds panic, got %v", r)
+		r := recover()
+		if s := fmt.Sprint(r); r == nil || !strings.Contains(s, "MaxRounds") || !strings.Contains(s, "3 nodes still running") {
+			t.Fatalf("expected MaxRounds panic naming 3 running nodes, got %v", r)
 		}
 	}()
-	Run(g, Config{Seed: 1, MaxRounds: 10}, func(nd *Node) {
-		for {
-			nd.Step()
-		}
-	})
+	RunFlat(g, Config{Seed: 1, MaxRounds: 10, Workers: 3}, forever)
 	t.Fatal("runaway protocol was not stopped")
 }
 
-// TestDesyncDetection: mixing Step and StepOr in one round is a protocol
-// bug the engine must flag rather than misaggregate.
+// TestDesyncDetection: a round in which some nodes submit to the OR
+// oracle and others to the max oracle is a protocol bug the engine must
+// flag rather than misaggregate.
 func TestDesyncDetection(t *testing.T) {
 	g := triangle(t)
 	defer func() {
@@ -362,13 +397,18 @@ func TestDesyncDetection(t *testing.T) {
 			t.Fatalf("expected desync panic, got %v", r)
 		}
 	}()
-	Run(g, Config{Seed: 1}, func(nd *Node) {
-		if nd.ID() == 0 {
-			nd.StepOr(true)
-		} else {
-			nd.Step()
+	RunFlat(g, Config{Seed: 1}, func(*Node) RoundProgram {
+		return &stepProg{
+			init: func(nd *Node) bool {
+				if nd.ID() == 0 {
+					nd.SubmitOr(true)
+				} else {
+					nd.SubmitMax(1)
+				}
+				return true
+			},
+			onRound: func(nd *Node, in []Incoming) bool { return false },
 		}
-		nd.Step()
 	})
 	t.Fatal("desync was not detected")
 }
@@ -388,12 +428,11 @@ func TestSendValidation(t *testing.T) {
 					t.Fatalf("%s: invalid send not rejected", name)
 				}
 			}()
-			Run(g, Config{Seed: 1}, func(nd *Node) {
+			RunFlat(g, Config{Seed: 1}, once(func(nd *Node) {
 				if nd.ID() == 0 {
 					bad(nd)
 				}
-				nd.Step()
-			})
+			}))
 		}()
 	}
 }
@@ -403,66 +442,58 @@ func TestOverwriteOnDoubleSend(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1)
 	g := b.MustBuild()
-	Run(g, Config{Seed: 1}, func(nd *Node) {
-		if nd.ID() == 0 {
-			nd.Send(0, Count(1))
-			nd.Send(0, Count(2))
-		}
-		in := nd.Step()
-		if nd.ID() == 1 {
-			if len(in) != 1 || in[0].Msg.(Count) != 2 {
-				t.Errorf("want single overwritten Count(2), got %v", in)
-			}
+	RunFlat(g, Config{Seed: 1}, func(*Node) RoundProgram {
+		return &stepProg{
+			init: func(nd *Node) bool {
+				if nd.ID() == 0 {
+					nd.Send(0, Count(1))
+					nd.Send(0, Count(2))
+				}
+				return true
+			},
+			onRound: func(nd *Node, in []Incoming) bool {
+				if nd.ID() == 1 && (len(in) != 1 || in[0].Msg.(Count) != 2) {
+					t.Errorf("want single overwritten Count(2), got %v", in)
+				}
+				return false
+			},
 		}
 	})
 }
 
-// TestZeroAndTinyGraphs: the engine handles empty and edgeless graphs.
+// TestZeroAndTinyGraphs: a Runner handles empty and edgeless graphs run
+// after run (TestFlatZeroAndTinyGraphs covers one-shot RunFlat).
 func TestZeroAndTinyGraphs(t *testing.T) {
-	empty := graph.NewBuilder(0).MustBuild()
-	st := Run(empty, Config{Seed: 1}, func(nd *Node) { t.Error("program ran on empty graph") })
+	empty := NewRunner(graph.NewBuilder(0).MustBuild(), Config{})
+	defer empty.Close()
+	st := empty.RunFlat(1, func(*Node) RoundProgram {
+		t.Error("factory ran on empty graph")
+		return nil
+	})
 	if st.Rounds != 0 {
 		t.Fatalf("empty graph ran %d rounds", st.Rounds)
 	}
-	lone := graph.NewBuilder(1).MustBuild()
-	ran := false
-	st = Run(lone, Config{Seed: 1}, func(nd *Node) {
-		ran = true
-		nd.SendAll(Signal{}) // degree 0: a no-op
-		if in := nd.Step(); len(in) != 0 {
-			t.Errorf("lone node received %v", in)
-		}
-	})
-	if !ran || st.Rounds != 1 || st.Messages != 0 {
-		t.Fatalf("lone node run malformed: ran=%v %v", ran, st)
-	}
-}
-
-// TestCoroutineReuse: back-to-back runs recycle pooled coroutines and
-// stay correct (the pool survives aborted runs too).
-func TestCoroutineReuse(t *testing.T) {
-	g := ring(64)
-	for i := 0; i < 5; i++ {
-		func() {
-			defer func() { _ = recover() }()
-			Run(g, Config{Seed: uint64(i)}, func(nd *Node) {
-				nd.Step()
-				if nd.ID() == i {
-					panic("abort this run")
-				}
-				nd.Step()
-			})
-		}()
-		sum := 0
-		Run(g, Config{Seed: uint64(i)}, func(nd *Node) {
-			nd.SendAll(Signal{})
-			in := nd.Step()
-			if nd.ID() == 0 {
-				sum = len(in)
+	lone := NewRunner(graph.NewBuilder(1).MustBuild(), Config{})
+	defer lone.Close()
+	for seed := uint64(1); seed <= 2; seed++ {
+		ran := false
+		st = lone.RunFlat(seed, func(*Node) RoundProgram {
+			return &stepProg{
+				init: func(nd *Node) bool {
+					ran = true
+					nd.SendAll(Signal{}) // degree 0: a no-op
+					return true
+				},
+				onRound: func(nd *Node, in []Incoming) bool {
+					if len(in) != 0 {
+						t.Errorf("lone node received %v", in)
+					}
+					return false
+				},
 			}
 		})
-		if sum != 2 {
-			t.Fatalf("iteration %d: post-abort run broken (got %d incoming)", i, sum)
+		if !ran || st.Rounds != 1 || st.Messages != 0 {
+			t.Fatalf("seed %d: lone node run malformed: ran=%v %v", seed, ran, st)
 		}
 	}
 }

@@ -1,74 +1,51 @@
 // Package dist is the round-synchronous message-passing engine underneath
 // every distributed algorithm in this module. A simulation instantiates
-// one logical processor per graph node, runs a program on each of them in
-// lockstep, and returns the aggregate execution cost as a *Stats. There
-// are two program forms, sharing one substrate and bit-identical for
-// equivalent programs:
+// one logical processor per graph node, runs a RoundProgram on each of
+// them in lockstep, and returns the aggregate execution cost as a *Stats:
 //
-//   - Run(g, cfg, program) executes a blocking program func(*Node) on the
-//     coroutine backend: ordinary sequential code suspended at each round
-//     barrier.
-//   - RunFlat(g, cfg, factory) executes a RoundProgram state machine on
-//     the flat backend: an OnRound(nd, inbox) step function the workers
-//     call directly in a tight loop, with zero stack switches.
+//	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram { ... })
 //
-// # Programming model (blocking form)
+// # Programming model
 //
-// A node program is ordinary sequential Go code. It addresses its
+// A RoundProgram is the synchronous model of the paper as written: each
+// round a node receives, computes and sends. Per-node state lives in the
+// program value; the engine calls Init(nd) once in round 0 and
+// OnRound(nd, in) once per later round, where in holds the messages the
+// round just ended delivered, as Incoming{Port, Msg} in increasing port
+// order (valid until the node's next OnRound). A node addresses its
 // neighbors only through local port numbers 0..Deg()-1 (the standard
 // anonymous-network convention; the graph package precomputes the port
-// tables). The primitives are:
+// tables). Within a segment:
 //
-//   - Send(port, msg) / SendAll(msg): buffer a message for delivery at the
+//   - Send(port, msg) / SendAll(msg) buffer a message for delivery at the
 //     end of the current round. At most one message per (sender, port) per
 //     round is retained — sending twice on a port overwrites, as a real
 //     link would if the protocol violated the one-message-per-round rule.
-//   - Step(): finish the round. Every node's round r sends become visible
-//     to receivers when their Step() of round r returns, as a slice of
-//     Incoming{Port, Msg} ordered by port. The slice is valid only until
-//     the node's next Step — it is overwritten in place each round.
-//   - StepOr(b) / StepMax(x): a round that additionally computes a global
-//     OR / max over the values submitted by all still-running nodes — the
-//     convergence oracle. Each use costs one round and is tallied per node
-//     in Stats.OracleCalls (a real network would spend Θ(diameter) rounds
-//     per call; see DESIGN.md §2).
+//   - SubmitOr(b) / SubmitMax(x) make the ending round an oracle round: a
+//     global OR / max over the values submitted by all continuing nodes —
+//     the convergence oracle — read with GlobalOr / GlobalMax at the start
+//     of the next OnRound. Each use is tallied per node in
+//     Stats.OracleCalls (a real network would spend Θ(diameter) rounds per
+//     call; see DESIGN.md §2).
 //
-// All nodes must call the Step variants in lockstep: a round in which some
-// nodes call Step and others StepOr/StepMax is a protocol desync and makes
-// the engine panic rather than silently misaggregate. A node may return at
-// any time; messages it sent in its final segment are still delivered, and
-// the simulation continues until every node program has returned.
+// Returning true continues into another round; returning false finishes
+// the program, and messages sent in the final segment are still
+// delivered. The simulation runs until every program has finished. All
+// continuing nodes must agree on the kind of round: one in which some
+// submit to an oracle and others don't is a protocol desync and makes the
+// engine panic rather than silently misaggregate.
 //
-// # Programming model (flat form)
-//
-// A RoundProgram is the same protocol with the call stack turned inside
-// out: per-node state lives in a struct, and the engine calls the program
-// once per round instead of the program blocking once per round. Init(nd)
-// is everything a blocking program does before its first Step; each
-// OnRound(nd, in) call is one "process inbox, compute, send" segment
-// between two barriers, returning true to continue into another round and
-// false to finish. Oracle rounds split StepOr/StepMax into halves:
-// SubmitOr/SubmitMax before returning marks the ending round, and
-// GlobalOr/GlobalMax read the aggregate at the start of the next OnRound.
-// Send/SendAll and all geometry accessors work identically; the blocking
-// Step primitives panic (there is no stack to park).
-//
-// Use the flat form for hot protocols — Israeli–Itai, Luby's MIS, the
-// LPR weight classes, LocalGreedy and the whole internal/core pipeline
-// (Algorithms 3-5) have RoundProgram ports, selected via Config.Backend
-// (bit-identical to their blocking forms, roughly 3-6x the node-rounds/s;
-// see DESIGN.md §1 for measurements). Protocols that nest sub-protocols
-// do not need a blocking stack for it: the Machine interface plus the
-// Seq combinator (machine.go) compose state-machine fragments — a
-// counting BFS feeding an MIS token walk feeding a commit broadcast,
-// repeated per phase — into one RoundProgram, segment-aligned with the
-// equivalent blocking call tree. Keep the blocking form as the readable
-// reference implementation and for programs written once and run rarely
-// — it is the more natural notation, and still fast.
+// Protocols compose sub-protocols with the Machine interface and the Seq
+// combinator (machine.go): state-machine fragments — a counting BFS
+// feeding an MIS token walk feeding a commit broadcast, repeated per
+// phase — chained into one RoundProgram. Israeli–Itai, Luby's MIS, the
+// LPR weight classes, LocalGreedy and every internal/core algorithm are
+// written this way, and committed golden digests pin their outputs (see
+// DESIGN.md §1).
 //
 // For many short runs on one graph (seed sweeps, per-slot schedules),
 // Runner (runner.go) amortizes engine setup — slabs, dest tables, the
-// worker pool — across runs, bit-identical to fresh Run/RunFlat calls.
+// worker pool — across runs, bit-identical to fresh RunFlat calls.
 // A Runner's topology is also mutable between runs (mutable.go): an
 // edge activation mask (dead edges drop all traffic in the send path,
 // so any protocol runs as if on the live subgraph) and a weight overlay
@@ -88,33 +65,23 @@
 //
 // # Execution model
 //
-// The engine is built for throughput (BenchmarkEngineRound and
-// BenchmarkEngineRoundFlat track the two backends in node-rounds/s).
-// The substrate is shared:
+// The engine is built for throughput (BenchmarkEngineRoundFlat tracks it
+// in node-rounds/s):
 //
 //   - Mailboxes are flat and CSR-indexed: one slot per directed arc,
-//     double-buffered. Send writes straight into the receiver's slot of
-//     the back buffer (each arc has exactly one writer, so there is no
-//     contention and no delivery pass); the barrier flips the buffers.
-//     Steady-state rounds allocate nothing, and the port tables are
-//     cached per graph across runs.
+//     double-buffered, with exactly one writer per slot, so there is no
+//     contention and no queue; the barrier flips the buffers. Steady-state
+//     rounds allocate nothing, and the port tables are cached per graph
+//     across runs.
 //   - A worker pool (Config.Workers, default GOMAXPROCS) owns contiguous
-//     node chunks; workers advance their nodes one at a time while the
-//     nodes fold the reductions (global OR/max, traffic accounting) into
-//     chunk-local accumulators, and the engine combines the per-chunk
-//     partials at the barrier.
+//     node chunks; workers step their nodes one interface call at a time
+//     while the nodes fold the reductions (global OR/max, traffic
+//     accounting) into chunk-local accumulators, and the engine combines
+//     the per-chunk partials at the barrier.
 //   - Every node draws randomness from its own deterministic stream,
 //     forked from Config.Seed by node id (rng.ForkSeed). Together with
 //     fixed mailbox slots and associative-commutative reductions this
-//     makes runs bit-identical regardless of worker count, scheduling or
-//     backend.
-//
-// The backends differ only in how a worker advances a node: the coroutine
-// backend resumes a parked goroutine-stack (iter.Pull, a
-// runtime.coroswitch pair per node-round, pooled across runs), while the
-// flat backend makes one interface call into the node's RoundProgram —
-// which is why it clears the switch-pair ceiling described in DESIGN.md
-// §1.
+//     makes runs bit-identical regardless of worker count or scheduling.
 //
 // See DESIGN.md §1 for measured round-rate numbers and the scaling model.
 //

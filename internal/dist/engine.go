@@ -11,46 +11,7 @@ import (
 	"distmatch/internal/rng"
 )
 
-// Backend selects which execution backend an algorithm should run on.
-// The engine itself has two entry points with fixed backends — Run executes
-// blocking programs on coroutines, RunFlat executes RoundProgram state
-// machines with zero stack switches — so Backend is a *request* interpreted
-// by the algorithm packages that implement both forms (internal/israeliitai,
-// internal/mis, internal/lpr). Algorithms with only a blocking form ignore
-// it.
-type Backend uint8
-
-const (
-	// BackendAuto picks the flat backend whenever the algorithm has a
-	// RoundProgram port (it is bit-identical at 3-5x the node-rounds/s on
-	// the ported protocols; see DESIGN.md §1 and BENCH_pr2.json), falling
-	// back to coroutines otherwise. The zero value, so it is the default
-	// of a zero Config.
-	BackendAuto Backend = iota
-	// BackendCoroutine forces the blocking-program coroutine backend.
-	BackendCoroutine
-	// BackendFlat forces the RoundProgram backend; algorithms without a
-	// flat port still run on coroutines (the request is best-effort).
-	BackendFlat
-)
-
-// UseFlat reports whether an algorithm that has a RoundProgram port should
-// take it under this setting.
-func (b Backend) UseFlat() bool { return b != BackendCoroutine }
-
-func (b Backend) String() string {
-	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendCoroutine:
-		return "coroutine"
-	case BackendFlat:
-		return "flat"
-	}
-	return fmt.Sprintf("Backend(%d)", uint8(b))
-}
-
-// Config configures one Run.
+// Config configures one run.
 type Config struct {
 	// Seed is the root of all randomness: node v draws from the stream
 	// rng.ForkSeed(Seed, v). Identical seeds give bit-identical runs
@@ -58,16 +19,12 @@ type Config struct {
 	Seed uint64
 	// Profile records a per-round traffic profile into Stats.Profile.
 	Profile bool
-	// Workers is the number of chunk workers resuming nodes and folding
+	// Workers is the number of chunk workers stepping nodes and folding
 	// reductions; 0 means GOMAXPROCS. Results do not depend on it.
 	Workers int
 	// MaxRounds aborts (panics) a run that exceeds this many rounds —
 	// a guard against protocols that fail to converge. 0 means no limit.
 	MaxRounds int
-	// Backend requests an execution backend from algorithm packages that
-	// implement both program forms; see Backend. Both backends are
-	// bit-identical, so this only affects throughput.
-	Backend Backend
 	// ActiveSet restricts the run to the listed node ids (nil means every
 	// node): only listed nodes are stepped — inactive nodes execute no
 	// program segments, send and receive nothing, and their RNG streams
@@ -85,20 +42,16 @@ type Config struct {
 	Faults *FaultPlan
 }
 
-// abortPanic unwinds a node program when the engine cancels the run; the
-// coroutine-side recover in runProgram swallows it.
-type abortPanic struct{}
-
-// Node is one logical processor of the simulated network. Exactly one
-// goroutine — the node's program — may use a Node, and only between Run's
-// invocation of the program and the program's return.
+// Node is one logical processor of the simulated network. A node's
+// RoundProgram may use its Node only inside Init and OnRound, which the
+// engine calls from the node's owning worker.
 //
 // The struct holds only the node's immutable geometry — 32 bytes, two per
 // cache line — so the barrier sweep streams it read-only. All mutable
 // per-node state lives in engine-side struct-of-arrays slabs indexed by
 // id: the started/done flags in engine.state (one byte per node, scanned
-// sequentially by the sweeps), RNG streams in engine.rnds, coroutine
-// handles in engine.coNext/coYield, flat machines in engine.progs.
+// sequentially by the sweeps), RNG streams in engine.rnds, programs in
+// engine.progs.
 type Node struct {
 	id   int32
 	deg  int32
@@ -106,13 +59,13 @@ type Node struct {
 	_    int32 // pad to 32 bytes: an aligned Node never straddles lines
 
 	eng *engine
-	wk  *worker // owning chunk worker; parked while the program runs
+	wk  *worker // owning chunk worker, which is running this node's program
 }
 
 // Per-node lifecycle bits in engine.state.
 const (
-	stStarted uint8 = 1 << iota // flat: Init ran; coroutine: body entered
-	stDone                      // program returned (or unwound); never step again
+	stStarted uint8 = 1 << iota // Init ran
+	stDone                      // program finished (or was cancelled); never step again
 )
 
 // ID returns this node's identifier in [0, N).
@@ -255,8 +208,7 @@ func (nd *Node) SendAll(msg Message) {
 }
 
 // account charges traffic straight to the owning worker's round counters:
-// the worker is parked while the program runs, so the node has exclusive
-// access.
+// the worker steps one node at a time, so the node has exclusive access.
 func (nd *Node) account(bits, msgs int) {
 	w := nd.wk
 	w.msgs += int64(msgs)
@@ -266,114 +218,19 @@ func (nd *Node) account(bits, msgs int) {
 	}
 }
 
-// Step ends the current round and returns the messages delivered to this
-// node, in increasing port order. All nodes advance in lockstep.
-//
-// The returned slice is only valid until this node's next Step (or
-// StepOr/StepMax): it aliases a per-node buffer that the next round
-// overwrites in place, which is what keeps steady-state rounds
-// allocation-free. Copy entries that must outlive the round.
-func (nd *Node) Step() []Incoming {
-	nd.wk.parked++
-	nd.park()
-	return nd.collect()
-}
-
-// StepOr ends the round like Step and additionally aggregates a global OR
-// over every running node's submitted value — the convergence oracle. It
-// returns the delivered messages and the OR. Counted in Stats.OracleCalls.
-func (nd *Node) StepOr(local bool) ([]Incoming, bool) {
-	w := nd.wk
-	w.parked++
-	w.orCnt++
-	w.or = w.or || local
-	nd.park()
-	return nd.collect(), nd.eng.orGlobal
-}
-
-// StepMax is StepOr with a global max over float64 values (identity -Inf).
-func (nd *Node) StepMax(local float64) ([]Incoming, float64) {
-	w := nd.wk
-	w.parked++
-	w.maxCnt++
-	if local > w.max {
-		w.max = local
-	}
-	nd.park()
-	return nd.collect(), nd.eng.maxGlobal
-}
-
-// park suspends the node program until the engine finishes the round. The
-// suspension is a coroutine switch back into the owning worker.
-func (nd *Node) park() {
-	e := nd.eng
-	if e.coYield == nil || e.coYield[nd.id] == nil {
-		panic("dist: blocking Step primitives require the coroutine backend; a RoundProgram must return from OnRound instead")
-	}
-	e.coYield[nd.id](struct{}{})
-	if nd.eng.aborting {
-		// The engine cancelled the run; unwind the program (recovered
-		// and swallowed by runProgram).
-		panic(abortPanic{})
-	}
-	if cr := nd.eng.crashed; cr != nil && cr[nd.id] {
-		// killNode resumed this program exactly once so it unwinds here;
-		// the node is permanently silent from this boundary on.
-		panic(abortPanic{})
-	}
-}
-
-// runProgram is the coroutine body. It recovers every panic on the
-// coroutine side — a real panic would otherwise crash the process from a
-// bare coroutine, and unwinding across a stack switch is not an option —
-// and hands the value to the engine in memory. It also self-reports
-// completion, so the worker's resume loop has nothing to check.
-func (nd *Node) runProgram(program func(*Node)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(abortPanic); !ok {
-				nd.wk.notePanic(int(nd.id), r)
-			}
-		}
-		e := nd.eng
-		e.state[nd.id] |= stDone
-		w := nd.wk
-		w.done++
-		if e.staged {
-			// The node's final segment may have sent; its out-slots go
-			// stale once delivered, and nobody will overwrite or clear
-			// them again. Hand them to the worker's wash schedule.
-			w.washNew = append(w.washNew, nd.id)
-		}
-	}()
-	nd.eng.state[nd.id] |= stStarted
-	program(nd)
-}
-
-// collect gathers this node's inbox for the round, per the engine's
-// delivery mode. Scatter mode reads the node's own contiguous range
-// cur[base, base+deg), clearing each slot behind the pack —
-// receiver-side hygiene, and at typical degrees the inline slot stores
-// beat a bulk clear() call. Staged mode reads each port's message from
-// the *neighbor's* out-slot for the reverse arc, cur[dest[base+p]], and
-// clears nothing: the sender's own pre-segment clear and the worker wash
-// schedule keep staged buffers clean.
+// collect gathers this node's inbox for the round on a scatter engine: it
+// reads the node's own contiguous range cur[base, base+deg), clearing each
+// slot behind the pack — receiver-side hygiene, and at typical degrees the
+// inline slot stores beat a bulk clear() call. (A staged engine packs
+// inboxes in the worker's delivery pass instead; see gather.) The returned
+// slice aliases a per-node buffer the next round overwrites in place,
+// which is what keeps steady-state rounds allocation-free.
 func (nd *Node) collect() []Incoming {
 	e := nd.eng
 	lo, hi := int(nd.base), int(nd.base)+int(nd.deg)
 	in := e.inSlab[lo:hi]
-	k := 0
-	if e.staged {
-		cur := e.cur
-		for p, d := range e.dest[lo:hi] {
-			if m := cur[d]; m != nil {
-				in[k] = Incoming{Port: p, Msg: m}
-				k++
-			}
-		}
-		return in[:k]
-	}
 	cur := e.cur[lo:hi]
+	k := 0
 	for p := range cur {
 		if m := cur[p]; m != nil {
 			cur[p] = nil
@@ -393,11 +250,12 @@ func (nd *Node) clearOut() {
 	clear(e.nxt[nd.base : nd.base+nd.deg])
 }
 
-// gather is staged-mode collect for the flat backend's per-chunk
-// delivery pass: the same pack of cur[dest[base:base+deg]] into the
-// node's inSlab range, but with the count parked in inCnt instead of
-// returning a slice, so the worker can run every gather of its chunk
-// back-to-back — the random reads of consecutive nodes then overlap in
+// gather is the staged-mode inbox pack for the per-chunk delivery pass:
+// it reads each port's message from the *neighbor's* out-slot for the
+// reverse arc, cur[dest[base+p]], into the node's inSlab range and parks
+// the count in inCnt, clearing nothing (the sender's own pre-segment clear
+// and the worker wash schedule keep staged buffers clean). The worker runs
+// every gather of its chunk back-to-back — the random reads of consecutive nodes then overlap in
 // the memory pipeline instead of serializing behind each OnRound (see
 // worker.deliver).
 func (nd *Node) gather() {
@@ -528,27 +386,16 @@ type engine struct {
 	// inboxes — enforced across worker counts by every differential suite.
 	cur, nxt []Message
 	staged   bool
-	// inSlab backs every node's Step return slice, partitioned by base.
+	// inSlab backs every node's OnRound inbox slice, partitioned by base.
 	inSlab []Incoming
 	// inCnt[v] is the number of inSlab entries node v's last delivery
-	// pass packed (flat backend; see worker.deliver).
+	// pass packed (staged mode; see worker.deliver).
 	inCnt []int32
 
 	nodes []Node
 	state []uint8        // per-node stStarted/stDone bits, indexed by id (SoA: the sweeps scan bytes, not Node structs)
 	rnds  []rng.Rand     // per-node streams, indexed by id
-	coros []*pooledCoro  // adopted coroutines of the current run (cold, coroutine backend)
-	progs []RoundProgram // per-node state machines (flat backend; nil ⇒ coroutine)
-
-	// Coroutine handle slabs, indexed by id (coroutine backend only,
-	// allocated on first launch): coNext resumes a node's program, coYield
-	// parks it. Slab residence keeps Node itself read-only geometry.
-	coNext  []func() (struct{}, bool)
-	coYield []func(struct{}) bool
-
-	// progSlab backs progs across a Runner's flat runs (see runner.go)
-	// and one-shot RunFlat calls (sized from the pooled bundle).
-	progSlab []RoundProgram
+	progs []RoundProgram // per-node programs of the current run, indexed by id
 
 	// slabs is the pooled allocation bundle the slices above were sized
 	// from; close() zeroes and returns it (see slabs.go).
@@ -582,10 +429,6 @@ type engine struct {
 	crashSlab   []bool
 	crashedList []int32
 
-	// aborting makes every subsequent park unwind its program; set (only)
-	// before the abortLive sweep.
-	aborting bool
-
 	orGlobal  bool
 	maxGlobal float64
 
@@ -596,11 +439,11 @@ type engine struct {
 	stats Stats
 }
 
-// worker owns the contiguous node chunk [lo, hi): it resumes the chunk's
-// node programs one coroutine switch at a time, while the nodes themselves
-// fold the chunk-local part of every reduction (traffic counters, global
-// OR/max, park/done counts) into the worker's fields — race-free because
-// the worker is suspended whenever one of its nodes runs.
+// worker owns the contiguous node chunk [lo, hi): it steps the chunk's
+// node programs one at a time, while the nodes themselves fold the
+// chunk-local part of every reduction (traffic counters, global OR/max,
+// continue/done counts) into the worker's fields — race-free because only
+// the owning worker ever runs a node of its chunk.
 type worker struct {
 	e      *engine
 	lo, hi int32
@@ -610,12 +453,12 @@ type worker struct {
 	actLo, actHi int
 
 	// Round aggregates, reset at the start of runRound.
-	parked  int
-	done    int
-	orCnt   int
-	maxCnt  int
-	or      bool
-	max     float64
+	parked     int
+	done       int
+	orCnt      int
+	maxCnt     int
+	or         bool
+	max        float64
 	msgs       int64
 	bits       int64
 	suppressed int64
@@ -623,8 +466,6 @@ type worker struct {
 
 	panicID  int // lowest node id that panicked this run, -1 if none
 	panicVal any
-
-	prefetch int32 // sink for the sweep's next-node warmup load
 
 	// Wash schedule for stale out-slots (see wash): nodes of this chunk
 	// that stopped clearing their own nxt range mid-run — done programs
@@ -667,8 +508,7 @@ func (w *worker) notePanic(id int, v any) {
 	}
 }
 
-// runRound advances every live node of the chunk by one round, on whichever
-// backend the engine was launched with.
+// runRound advances every live node of the chunk by one round.
 func (w *worker) runRound() {
 	w.parked, w.done, w.orCnt, w.maxCnt = 0, 0, 0, 0
 	w.or, w.max = false, math.Inf(-1)
@@ -676,97 +516,7 @@ func (w *worker) runRound() {
 	if len(w.washOld)+len(w.washNew) != 0 {
 		w.wash()
 	}
-	if w.e.progs != nil {
-		w.flatSweep()
-		return
-	}
-	w.coroSweep()
-}
-
-// coroSweep resumes every live node program of the chunk once. All
-// bookkeeping is node-side; the sweep itself is the staged-mode
-// pre-segment out-slot clear plus the coroutine switch. Under an active
-// set only active nodes own coroutines, so the sweep walks the sparse id
-// slice or the chunk range under the bitmap.
-func (w *worker) coroSweep() {
-	e := w.e
-	nodes := e.nodes
-	state := e.state
-	next := e.coNext
-	staged := e.staged
-	switch e.sweep {
-	case sweepList:
-		act := e.activeSorted[w.actLo:w.actHi]
-		for j, i := range act {
-			if j+1 < len(act) {
-				w.prefetch = nodes[act[j+1]].base
-			}
-			s := state[i]
-			if s&stDone != 0 {
-				continue
-			}
-			if staged && s&stStarted != 0 {
-				nodes[i].clearOut()
-			}
-			next[i]()
-		}
-	case sweepMask:
-		mask := e.active.mask
-		for i := w.lo; i < w.hi; i++ {
-			if !mask[i] {
-				continue
-			}
-			s := state[i]
-			if s&stDone != 0 {
-				continue
-			}
-			if staged && s&stStarted != 0 {
-				nodes[i].clearOut()
-			}
-			next[i]()
-		}
-	default:
-		for i := w.lo; i < w.hi; i++ {
-			if i+1 < w.hi {
-				// Touch the next node's line so it loads while this node's
-				// program runs; the sweep is latency-bound on cold per-node
-				// state. The store keeps the load from being dead-coded.
-				w.prefetch = nodes[i+1].base
-			}
-			s := state[i]
-			if s&stDone != 0 {
-				continue
-			}
-			if staged && s&stStarted != 0 {
-				nodes[i].clearOut()
-			}
-			next[i]() // coroutine switch into the node program
-		}
-	}
-}
-
-// Run simulates program on every node of g in synchronous rounds and
-// returns the aggregate cost. It returns once every node program has; a
-// panic inside any node program aborts the run and re-panics with the
-// same value in the caller's goroutine. Run always executes on the
-// coroutine backend (a blocking program needs a suspendable stack); see
-// RunFlat for the stack-switch-free alternative.
-func Run(g *graph.Graph, cfg Config, program func(*Node)) *Stats {
-	tel, tstart := telStart()
-	var st Stats
-	completed := false
-	defer func() { tel.record(tstart, &st, completed) }()
-	e := newEngine(g, cfg)
-	if e.n != 0 {
-		e.launch(program)
-		defer e.close()
-		e.loop()
-	}
-	// Return a copy: callers routinely retain the Stats, and a pointer
-	// into the engine would pin its O(n+m) slabs for that lifetime.
-	st = e.stats
-	completed = true
-	return &st
+	w.flatSweep()
 }
 
 // chunkAlign is the worker-chunk boundary granularity in nodes: 64 nodes
@@ -883,7 +633,7 @@ func (e *engine) loop() {
 		e.stats.Bits += agg.bits
 		e.stats.SuppressedMessages += agg.suppressed
 		if agg.parked == 0 {
-			// Final segments only: every remaining program returned
+			// Final segments only: every remaining program finished
 			// without another barrier, so no round is charged.
 			continue
 		}
@@ -891,7 +641,7 @@ func (e *engine) loop() {
 			(agg.orCnt != agg.parked || agg.maxCnt != 0) &&
 			(agg.maxCnt != agg.parked || agg.orCnt != 0) {
 			e.abortLive()
-			panic("dist: protocol desync: nodes parked on different Step primitives in the same round")
+			panic("dist: protocol desync: continuing nodes submitted to different oracles (or only some submitted) in the same round")
 		}
 		e.stats.Rounds++
 		e.stats.roundMaxBits = append(e.stats.roundMaxBits, agg.maxBits)
@@ -966,41 +716,17 @@ func (e *engine) combine() worker {
 }
 
 // abortLive cancels every still-running node program of the current run
-// (only the run's active nodes ever started one). On the coroutine
-// backend that means unwinding: with aborting set, each resumed park panics
-// an abortPanic, which runProgram recovers, and the coroutine drops back to
-// its idle loop — afterwards every coroutine of the run is idle and
-// poolable again. A node that never entered its program body (a fault
-// abort before the first round) is only marked done: its coroutine is
-// already at the dispatch loop's idle point, and resuming it would
-// instead START the program and leave it suspended at its first park —
-// a mid-program coroutine that must never reach the pool, where a later
-// run would rebind it and resume the stale program against reset engine
-// state. On the flat backend there is no suspended stack to unwind;
-// marking the nodes done is the whole job.
+// (only the run's active nodes ever started one). There is no suspended
+// stack to unwind: marking the nodes done is the whole job.
 func (e *engine) abortLive() {
-	e.aborting = true
 	state := e.state
-	if e.progs != nil || e.coNext == nil {
-		e.forEachActive(func(nd *Node) { state[nd.id] |= stDone })
-		return
-	}
-	e.forEachActive(func(nd *Node) {
-		if s := state[nd.id]; s&stDone == 0 {
-			state[nd.id] = s | stDone
-			if s&stStarted != 0 {
-				e.coNext[nd.id]()
-			}
-		}
-	})
+	e.forEachActive(func(nd *Node) { state[nd.id] |= stDone })
 }
 
-// close cancels any remaining programs, returns the run's coroutines to
-// the pool (coroutine backend only), releases the workers, and recycles
-// the engine's slab bundle (see slabs.go).
+// close cancels any remaining programs, releases the workers, and
+// recycles the engine's slab bundle (see slabs.go).
 func (e *engine) close() {
 	e.abortLive()
-	releaseCoros(e.coros)
 	for _, ch := range e.dispatch {
 		close(ch)
 	}

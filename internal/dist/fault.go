@@ -1,16 +1,14 @@
 package dist
 
 // Deterministic fault injection. A FaultPlan is a seeded, replayable list
-// of fault events the engine consults at round boundaries — the only
-// places both backends are in identical states, which is what makes a
-// faulted run bit-identical across the coroutine and flat backends (and
-// across replays of the same seed).
+// of fault events the engine consults at round boundaries, between
+// sweeps, which is what makes a faulted run bit-identical across worker
+// counts and across replays of the same seed.
 //
 // Fault taxonomy and the determinism contract:
 //
 //   - FaultCrash(node) at boundary r: the node executes rounds < r in
-//     full, then goes permanently silent. Its suspended program is
-//     unwound (coroutine backend) or marked done (flat backend), its
+//     full, then goes permanently silent. Its program is marked done, its
 //     undelivered inbox is cleared, and every later message addressed to
 //     it is suppressed at the send — charged to Stats.Messages/Bits like
 //     any send (the sender cannot know the receiver is dead) and counted
@@ -27,7 +25,7 @@ package dist
 //
 // Events fire in (Round, insertion-order) — sorted stably by round at plan
 // construction — and a plan is immutable once built, so one plan can be
-// shared across runs, Runners and backends. Events aimed at nodes that
+// shared across runs and Runners. Events aimed at nodes that
 // are already done, already crashed, or outside the run's active set are
 // skipped (deterministically). Events scheduled past the run's last
 // round never fire.
@@ -85,7 +83,7 @@ func (ev FaultEvent) String() string {
 
 // FaultPlan is an immutable, replayable fault schedule. Install it on a
 // run with Config.Faults or on a warm engine with Runner.SetFaultPlan;
-// the same plan replays identically on both backends.
+// the same plan replays identically on every run.
 type FaultPlan struct {
 	events []FaultEvent
 }
@@ -208,8 +206,8 @@ func (p *InjectedPanic) Error() string {
 
 // applyFaults fires every plan event scheduled at or before the boundary
 // preceding sweep e.roundIdx and returns the number of run participants
-// it crashed. Runs on the engine goroutine between rounds, so both
-// backends observe identical pre-sweep state. An injected panic aborts
+// it crashed. Runs on the engine goroutine between rounds, so every
+// worker observes the same pre-sweep state. An injected panic aborts
 // the run like a program panic (the caller's deferred abortLive makes the
 // slab reusable either way).
 func (e *engine) applyFaults() int {
@@ -282,23 +280,12 @@ func (e *engine) killNode(v int32) bool {
 			}
 		}
 	}
-	// Terminate the program. Flat machines and coroutine programs that
-	// never started (crash before round 0) are just marked done — resuming
-	// an unstarted coroutine would execute the program's first segment,
-	// sends and all. A suspended coroutine program is resumed once so park
-	// sees the crash and unwinds it (abortPanic, recovered by runProgram);
-	// the resume happens between rounds, so nothing it could observe has
-	// been swept yet and no counters survive (runRound resets them). On a
-	// staged engine the dead node stops clearing its out-slots, so it
-	// joins its worker's wash schedule (the unwind path does so in
-	// runProgram).
-	if e.progs != nil || e.coNext == nil || e.coNext[v] == nil || e.roundIdx == 0 {
-		e.state[v] |= stDone
-		if e.staged {
-			nd.wk.washNew = append(nd.wk.washNew, v)
-		}
-	} else {
-		e.coNext[v]()
+	// Terminate the program: it is marked done and never stepped again. On
+	// a staged engine the dead node stops clearing its out-slots, so it
+	// joins its worker's wash schedule.
+	e.state[v] |= stDone
+	if e.staged {
+		nd.wk.washNew = append(nd.wk.washNew, v)
 	}
 	return true
 }

@@ -5,37 +5,22 @@ import (
 	"testing"
 )
 
-// gossipCoro is the blocking form of the fault suite's reference
-// workload: each node beacons a random count for a fixed number of
-// rounds and accumulates everything it hears into out.
-func gossipCoro(rounds int, out []int64) func(*Node) {
-	return func(nd *Node) {
-		acc := int64(0)
-		for r := 0; r < rounds; r++ {
-			nd.SendAll(Count(nd.Rand().Intn(50)))
-			for _, in := range nd.Step() {
-				acc += int64(in.Msg.(Count))
-			}
-		}
-		out[nd.ID()] = acc
-	}
-}
-
-// gossipFlat is the RoundProgram port of gossipCoro, sweep-for-sweep
-// identical (same sends, same RNG draws, same completion round).
-type gossipFlat struct {
+// gossip is the fault suite's reference workload: each node beacons a
+// random count for a fixed number of rounds and accumulates everything it
+// hears into out.
+type gossip struct {
 	left int
 	acc  int64
 	out  []int64
 }
 
-func (p *gossipFlat) Init(nd *Node) bool {
+func (p *gossip) Init(nd *Node) bool {
 	nd.SendAll(Count(nd.Rand().Intn(50)))
 	p.left--
 	return true
 }
 
-func (p *gossipFlat) OnRound(nd *Node, in []Incoming) bool {
+func (p *gossip) OnRound(nd *Node, in []Incoming) bool {
 	for _, m := range in {
 		p.acc += int64(m.Msg.(Count))
 	}
@@ -48,8 +33,8 @@ func (p *gossipFlat) OnRound(nd *Node, in []Incoming) bool {
 	return true
 }
 
-func gossipFlatFactory(rounds int, out []int64) func(nd *Node) RoundProgram {
-	return func(nd *Node) RoundProgram { return &gossipFlat{left: rounds, out: out} }
+func gossipFactory(rounds int, out []int64) func(nd *Node) RoundProgram {
+	return func(nd *Node) RoundProgram { return &gossip{left: rounds, out: out} }
 }
 
 func TestFaultPlanConstruction(t *testing.T) {
@@ -112,84 +97,73 @@ func TestRandomFaultPlanDeterministic(t *testing.T) {
 // TestFaultCrashSilencesNode pins the crash contract on a 16-ring: the
 // node crashed at boundary 2 executes rounds 0–1 in full (its round-1
 // sends are still delivered), then goes silent; its cleared inbox and
-// every later send addressed to it are charged and counted.
+// every later send addressed to it are charged and counted. Both delivery
+// modes (one worker scatters, three stage) must agree.
 func TestFaultCrashSilencesNode(t *testing.T) {
 	const n, rounds = 16, 6
 	g := ring(n)
 	plan := NewFaultPlan([]FaultEvent{{Round: 2, Kind: FaultCrash, Node: 3}})
 
-	check := func(label string, st *Stats, out []int64) {
-		t.Helper()
+	var first *Stats
+	var firstOut []int64
+	for _, workers := range []int{1, 3} {
+		out := make([]int64, n)
+		st := RunFlat(g, Config{Seed: 9, Faults: plan, Workers: workers}, gossipFactory(rounds, out))
 		if st.CrashedNodes != 1 {
-			t.Fatalf("%s: CrashedNodes = %d, want 1", label, st.CrashedNodes)
+			t.Fatalf("workers=%d: CrashedNodes = %d, want 1", workers, st.CrashedNodes)
 		}
 		// Inbox at boundary 2 (2 in-flight) + 2 neighbors × rounds 2..5.
 		if st.SuppressedMessages != 2+2*4 {
-			t.Fatalf("%s: SuppressedMessages = %d, want 10", label, st.SuppressedMessages)
+			t.Fatalf("workers=%d: SuppressedMessages = %d, want 10", workers, st.SuppressedMessages)
 		}
 		// Every send is charged except the crashed node's rounds 2..5.
 		if want := int64(n*2*rounds - 2*4); st.Messages != want {
-			t.Fatalf("%s: Messages = %d, want %d", label, st.Messages, want)
+			t.Fatalf("workers=%d: Messages = %d, want %d", workers, st.Messages, want)
 		}
 		if out[3] != 0 {
-			t.Fatalf("%s: crashed node wrote output %d", label, out[3])
+			t.Fatalf("workers=%d: crashed node wrote output %d", workers, out[3])
 		}
-		// Neighbors heard node 3 in rounds 0 and 1 only; everyone else is
-		// untouched (counts are random, so compare against a clean run).
-	}
-
-	outC := make([]int64, n)
-	stC := Run(g, Config{Seed: 9, Faults: plan}, gossipCoro(rounds, outC))
-	check("coroutine", stC, outC)
-
-	outF := make([]int64, n)
-	stF := RunFlat(g, Config{Seed: 9, Faults: plan}, gossipFlatFactory(rounds, outF))
-	check("flat", stF, outF)
-
-	if !reflect.DeepEqual(stC, stF) || !reflect.DeepEqual(outC, outF) {
-		t.Fatalf("backends diverge under a crash:\ncoro %+v %v\nflat %+v %v", stC, outC, stF, outF)
+		if first == nil {
+			first, firstOut = st, out
+		} else if !reflect.DeepEqual(first, st) || !reflect.DeepEqual(firstOut, out) {
+			t.Fatalf("delivery modes diverge under a crash:\n%+v %v\n%+v %v", first, firstOut, st, out)
+		}
 	}
 
 	// The crash reduced what the neighbors heard relative to a clean run,
 	// and left everyone two hops away untouched.
 	clean := make([]int64, n)
-	Run(g, Config{Seed: 9}, gossipCoro(rounds, clean))
+	RunFlat(g, Config{Seed: 9}, gossipFactory(rounds, clean))
 	for _, v := range []int{2, 4} {
-		if outC[v] >= clean[v] {
-			t.Fatalf("neighbor %d heard %d with the crash, %d without", v, outC[v], clean[v])
+		if firstOut[v] >= clean[v] {
+			t.Fatalf("neighbor %d heard %d with the crash, %d without", v, firstOut[v], clean[v])
 		}
 	}
 	for _, v := range []int{0, 1, 5, 6} {
-		if outC[v] != clean[v] {
-			t.Fatalf("node %d (≥2 hops from the crash) diverged: %d vs %d", v, outC[v], clean[v])
+		if firstOut[v] != clean[v] {
+			t.Fatalf("node %d (≥2 hops from the crash) diverged: %d vs %d", v, firstOut[v], clean[v])
 		}
 	}
 }
 
-// TestFaultCrashAtRoundZero: the node executes nothing at all — on the
-// coroutine backend its program must not even start (a resume would run
-// the first segment, sends included).
+// TestFaultCrashAtRoundZero: the node executes nothing at all — its Init
+// never runs, so it sends nothing and draws nothing.
 func TestFaultCrashAtRoundZero(t *testing.T) {
 	const n, rounds = 8, 3
 	g := ring(n)
 	plan := NewFaultPlan([]FaultEvent{{Round: 0, Kind: FaultCrash, Node: 5}})
-	outC := make([]int64, n)
-	stC := Run(g, Config{Seed: 4, Faults: plan}, gossipCoro(rounds, outC))
-	outF := make([]int64, n)
-	stF := RunFlat(g, Config{Seed: 4, Faults: plan}, gossipFlatFactory(rounds, outF))
-	if !reflect.DeepEqual(stC, stF) || !reflect.DeepEqual(outC, outF) {
-		t.Fatalf("backends diverge under a round-0 crash:\ncoro %+v %v\nflat %+v %v", stC, outC, stF, outF)
-	}
+	out := make([]int64, n)
+	st := RunFlat(g, Config{Seed: 4, Faults: plan}, gossipFactory(rounds, out))
 	// Node 5 never sent: total messages = everyone's sends minus node 5's
 	// rounds (its neighbors' sends to it are suppressed but charged).
-	if want := int64((n-1)*2*rounds + 0); stC.Messages != want {
-		t.Fatalf("Messages = %d, want %d", stC.Messages, want)
+	if want := int64((n - 1) * 2 * rounds); st.Messages != want {
+		t.Fatalf("Messages = %d, want %d", st.Messages, want)
 	}
-	if stC.SuppressedMessages != int64(2*rounds) {
-		t.Fatalf("SuppressedMessages = %d, want %d", stC.SuppressedMessages, 2*rounds)
+	if st.SuppressedMessages != int64(2*rounds) {
+		t.Fatalf("SuppressedMessages = %d, want %d", st.SuppressedMessages, 2*rounds)
 	}
-	if outC[5] != 0 {
-		t.Fatalf("crashed node produced output %d", outC[5])
+	if out[5] != 0 {
+		t.Fatalf("crashed node produced output %d", out[5])
 	}
 }
 
@@ -201,73 +175,58 @@ func TestFaultDropIsOneShot(t *testing.T) {
 	// Edge 0 connects nodes 0 and 1 in the ring builder's order; whichever
 	// it is, the drop accounting is what's pinned here.
 	plan := NewFaultPlan([]FaultEvent{{Round: 2, Kind: FaultDrop, Edge: 0}})
-	outC := make([]int64, n)
-	stC := Run(g, Config{Seed: 11, Faults: plan}, gossipCoro(rounds, outC))
-	outF := make([]int64, n)
-	stF := RunFlat(g, Config{Seed: 11, Faults: plan}, gossipFlatFactory(rounds, outF))
-	if !reflect.DeepEqual(stC, stF) || !reflect.DeepEqual(outC, outF) {
-		t.Fatal("backends diverge under a drop")
-	}
-	if stC.SuppressedMessages != 2 {
-		t.Fatalf("SuppressedMessages = %d, want 2 (one per direction)", stC.SuppressedMessages)
+	st := RunFlat(g, Config{Seed: 11, Faults: plan}, gossipFactory(rounds, make([]int64, n)))
+	if st.SuppressedMessages != 2 {
+		t.Fatalf("SuppressedMessages = %d, want 2 (one per direction)", st.SuppressedMessages)
 	}
 	// Drops lose delivered traffic, not charged traffic.
-	if want := int64(n * 2 * rounds); stC.Messages != want {
-		t.Fatalf("Messages = %d, want %d", stC.Messages, want)
+	if want := int64(n * 2 * rounds); st.Messages != want {
+		t.Fatalf("Messages = %d, want %d", st.Messages, want)
 	}
-	if stC.CrashedNodes != 0 {
-		t.Fatalf("CrashedNodes = %d for a pure drop plan", stC.CrashedNodes)
+	if st.CrashedNodes != 0 {
+		t.Fatalf("CrashedNodes = %d for a pure drop plan", st.CrashedNodes)
 	}
 }
 
 // TestFaultInjectedPanic: a FaultPanic aborts the run with an
-// *InjectedPanic on both backends, and the Runner stays reusable.
+// *InjectedPanic, and the Runner stays reusable.
 func TestFaultInjectedPanic(t *testing.T) {
 	const n, rounds = 12, 6
 	g := ring(n)
 	plan := NewFaultPlan([]FaultEvent{{Round: 3, Kind: FaultPanic, Node: 7}})
 
-	catch := func(run func()) *InjectedPanic {
-		t.Helper()
-		var got *InjectedPanic
-		func() {
-			defer func() {
-				ip, ok := recover().(*InjectedPanic)
-				if !ok {
-					t.Fatal("run did not panic with *InjectedPanic")
-				}
-				got = ip
-			}()
-			run()
-		}()
-		return got
-	}
-
 	r := NewRunner(g, Config{})
 	defer r.Close()
 	r.SetFaultPlan(plan)
-	ipC := catch(func() { r.Run(3, gossipCoro(rounds, make([]int64, n))) })
-	ipF := catch(func() { r.RunFlat(3, gossipFlatFactory(rounds, make([]int64, n))) })
-	if *ipC != (InjectedPanic{Node: 7, Round: 3}) || *ipC != *ipF {
-		t.Fatalf("panic payloads: coro %+v flat %+v", ipC, ipF)
-	}
+	func() {
+		defer func() {
+			ip, ok := recover().(*InjectedPanic)
+			if !ok {
+				t.Fatal("run did not panic with *InjectedPanic")
+			}
+			if *ip != (InjectedPanic{Node: 7, Round: 3}) {
+				t.Fatalf("panic payload %+v", ip)
+			}
+		}()
+		r.RunFlat(3, gossipFactory(rounds, make([]int64, n)))
+	}()
 
 	// Clearing the plan restores bit-identical fault-free behavior.
 	r.SetFaultPlan(nil)
 	out := make([]int64, n)
-	got := r.Run(5, gossipCoro(rounds, out))
+	got := r.RunFlat(5, gossipFactory(rounds, out))
 	fresh := make([]int64, n)
-	want := Run(g, Config{Seed: 5}, gossipCoro(rounds, fresh))
+	want := RunFlat(g, Config{Seed: 5}, gossipFactory(rounds, fresh))
 	if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(fresh, out) {
 		t.Fatalf("runner not bit-identical to fresh engine after injected panic:\nfresh %+v %v\ngot   %+v %v",
 			want, fresh, got, out)
 	}
 }
 
-// TestFaultRunnerReusable is the tentpole's hard guarantee: a run
+// TestFaultRunnerReusable is the fault layer's hard guarantee: a run
 // perturbed by crashes and drops completes, and after clearing the plan
-// the next run over the same slab is bit-identical to a fresh engine —
-// on both backends, including under an active set.
+// the next run over the same slab is bit-identical to a fresh engine,
+// including under an active set.
 func TestFaultRunnerReusable(t *testing.T) {
 	const n, rounds = 14, 5
 	g := ring(n)
@@ -282,8 +241,8 @@ func TestFaultRunnerReusable(t *testing.T) {
 	defer r.Close()
 	r.SetFaultPlan(plan)
 
-	faulted1 := r.Run(2, gossipCoro(rounds, make([]int64, n)))
-	faulted2 := r.Run(2, gossipCoro(rounds, make([]int64, n)))
+	faulted1 := r.RunFlat(2, gossipFactory(rounds, make([]int64, n)))
+	faulted2 := r.RunFlat(2, gossipFactory(rounds, make([]int64, n)))
 	if !reflect.DeepEqual(faulted1, faulted2) {
 		t.Fatalf("faulted runs of the same seed diverge:\n%+v\n%+v", faulted1, faulted2)
 	}
@@ -294,18 +253,11 @@ func TestFaultRunnerReusable(t *testing.T) {
 	r.SetFaultPlan(nil)
 	for seed := uint64(1); seed <= 3; seed++ {
 		out := make([]int64, n)
-		got := r.Run(seed, gossipCoro(rounds, out))
+		got := r.RunFlat(seed, gossipFactory(rounds, out))
 		fresh := make([]int64, n)
-		want := Run(g, Config{Seed: seed, Workers: 3}, gossipCoro(rounds, fresh))
+		want := RunFlat(g, Config{Seed: seed, Workers: 3}, gossipFactory(rounds, fresh))
 		if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(fresh, out) {
 			t.Fatalf("seed %d: post-fault runner diverges from fresh engine", seed)
-		}
-		outF := make([]int64, n)
-		gotF := r.RunFlat(seed, gossipFlatFactory(rounds, outF))
-		freshF := make([]int64, n)
-		wantF := RunFlat(g, Config{Seed: seed, Workers: 3}, gossipFlatFactory(rounds, freshF))
-		if !reflect.DeepEqual(wantF, gotF) || !reflect.DeepEqual(freshF, outF) {
-			t.Fatalf("seed %d: post-fault flat runner diverges from fresh engine", seed)
 		}
 	}
 
@@ -314,15 +266,15 @@ func TestFaultRunnerReusable(t *testing.T) {
 	active := []int32{0, 1, 2, 3, 4, 5}
 	r.SetActive(active)
 	r.SetFaultPlan(NewFaultPlan([]FaultEvent{{Round: 1, Kind: FaultCrash, Node: 3}}))
-	st := r.Run(8, gossipCoro(rounds, make([]int64, n)))
+	st := r.RunFlat(8, gossipFactory(rounds, make([]int64, n)))
 	if st.CrashedNodes != 1 {
 		t.Fatalf("active-set crash did not land: %+v", st)
 	}
 	r.SetFaultPlan(nil)
 	out := make([]int64, n)
-	got := r.Run(8, gossipCoro(rounds, out))
+	got := r.RunFlat(8, gossipFactory(rounds, out))
 	fresh := make([]int64, n)
-	want := Run(g, Config{Seed: 8, Workers: 3, ActiveSet: active}, gossipCoro(rounds, fresh))
+	want := RunFlat(g, Config{Seed: 8, Workers: 3, ActiveSet: active}, gossipFactory(rounds, fresh))
 	if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(fresh, out) {
 		t.Fatal("post-fault active-set runner diverges from fresh engine")
 	}
@@ -341,7 +293,7 @@ func TestFaultCrashOutsideActiveSet(t *testing.T) {
 	defer r.Close()
 	r.SetActive([]int32{0, 1, 2, 3})
 	r.SetFaultPlan(plan)
-	st := r.Run(6, gossipCoro(rounds, make([]int64, n)))
+	st := r.RunFlat(6, gossipFactory(rounds, make([]int64, n)))
 	if st.CrashedNodes != 0 || st.SuppressedMessages != 0 {
 		t.Fatalf("faults aimed outside the active set landed: %+v", st)
 	}
@@ -356,7 +308,7 @@ func TestFaultWholeRunCrash(t *testing.T) {
 	for v := 0; v < n; v++ {
 		evs[v] = FaultEvent{Round: 1, Kind: FaultCrash, Node: v}
 	}
-	st := Run(g, Config{Seed: 1, Faults: NewFaultPlan(evs)}, gossipCoro(5, make([]int64, n)))
+	st := RunFlat(g, Config{Seed: 1, Faults: NewFaultPlan(evs)}, gossipFactory(5, make([]int64, n)))
 	if st.CrashedNodes != n {
 		t.Fatalf("CrashedNodes = %d, want %d", st.CrashedNodes, n)
 	}

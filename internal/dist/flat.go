@@ -2,39 +2,30 @@ package dist
 
 import "distmatch/internal/graph"
 
-// This file is the flat execution backend: node programs phrased as
-// RoundProgram state machines that the chunk workers step with a plain
-// interface call per node-round — no coroutine, no suspended stack, no
-// runtime.coroswitch. It shares everything else (CSR mailboxes, worker
-// chunks, reductions, RNG streams, Stats accounting) with the coroutine
-// backend in engine.go/coro.go; the two are bit-identical for equivalent
-// programs (see the differential tests in internal/israeliitai,
-// internal/mis and internal/lpr) and differ only in throughput.
+// This file is the engine's program interface and its worker sweep: node
+// programs are RoundProgram state machines that the chunk workers step
+// with a plain interface call per node-round.
 
 // RoundProgram is a node program in state-machine form: the per-round
-// logic as a pure function of (state, inbox) instead of a blocking thread
-// of control. The engine calls Init once in round 0 and OnRound once per
-// subsequent round, always from the node's owning worker, so a method body
-// has the same exclusive access to its Node as a blocking program segment.
+// logic of the synchronous model as a function of (state, inbox). The
+// engine calls Init once in round 0 and OnRound once per subsequent round,
+// always from the node's owning worker, so a method body has exclusive
+// access to its Node.
 //
-// The correspondence with the blocking model is segment-by-segment: Init
-// is everything a blocking program does before its first Step, and each
-// OnRound call is one "process the inbox, compute, send" segment between
-// two barriers. Returning true parks the node at the round barrier
-// (a blocking Step); returning false ends the program (a blocking return —
-// sends made in that final call are still delivered). The in slice obeys
-// the same aliasing rule as Step's return value: it is only valid until
-// the node's next OnRound.
+// Init is the node's first segment; each OnRound call is one "process the
+// inbox, compute, send" segment between two barriers. Returning true
+// parks the node at the round barrier; returning false ends the program
+// (sends made in that final call are still delivered). The in slice is
+// only valid until the node's next OnRound: it aliases a per-node buffer
+// the next round overwrites in place. Copy entries that must outlive the
+// round.
 //
-// Oracle rounds split the blocking StepOr/StepMax into their two halves:
-// calling Node.SubmitOr/SubmitMax (at most one, once) before returning
-// true marks the ending round as an oracle round, and the global result is
-// read with Node.GlobalOr/GlobalMax at the start of the next OnRound.
-// The lockstep rule is unchanged: a round in which some continuing nodes
-// submit and others don't is a desync and panics.
-//
-// The blocking primitives Step/StepOr/StepMax must not be called from a
-// RoundProgram (there is no stack to park); doing so panics.
+// Oracle rounds come in two halves: calling Node.SubmitOr/SubmitMax (at
+// most one, once) before returning true marks the ending round as an
+// oracle round, and the global result is read with Node.GlobalOr/
+// GlobalMax at the start of the next OnRound. All continuing nodes must
+// agree: a round in which some submit and others don't, or some submit to
+// the OR and others to the max, is a desync and panics.
 type RoundProgram interface {
 	// Init runs the program's first segment (round 0): it may Send and
 	// may Submit. It reports whether the node continues into round 1.
@@ -46,12 +37,12 @@ type RoundProgram interface {
 }
 
 // RunFlat simulates one RoundProgram per node of g in synchronous rounds
-// on the flat backend and returns the aggregate cost — the stack-switch-
-// free counterpart of Run. factory is called once per node, in increasing
-// id order before round 0, and should only allocate the machine and read
-// node geometry (ID/Deg/N/ports); sends and RNG draws belong in Init.
-// Panics inside Init/OnRound abort the run and re-panic in the caller,
-// like Run.
+// and returns the aggregate cost once every program has finished. factory
+// is called once per node (per active node under Config.ActiveSet), in
+// increasing id order before round 0, and should only allocate the
+// machine and read node geometry (ID/Deg/N/ports); sends and RNG draws
+// belong in Init. A panic inside Init/OnRound aborts the run and
+// re-panics with the same value in the caller.
 func RunFlat(g *graph.Graph, cfg Config, factory func(nd *Node) RoundProgram) *Stats {
 	tel, tstart := telStart()
 	var st Stats
@@ -59,29 +50,30 @@ func RunFlat(g *graph.Graph, cfg Config, factory func(nd *Node) RoundProgram) *S
 	defer func() { tel.record(tstart, &st, completed) }()
 	e := newEngine(g, cfg)
 	if e.n != 0 {
-		e.progs = e.progSlab
 		e.forEachActive(func(nd *Node) { e.progs[nd.id] = factory(nd) })
 		defer e.close()
 		e.loop()
 	}
+	// Return a copy: callers routinely retain the Stats, and a pointer
+	// into the engine would pin its O(n+m) slabs for that lifetime.
 	st = e.stats
 	completed = true
 	return &st
 }
 
-// SubmitOr submits this node's value to a global-OR oracle round — the
-// flat-backend half of StepOr that ends the current OnRound segment. The
-// result is available from GlobalOr in the next OnRound. Flat backend
-// only; at most one Submit per segment.
+// SubmitOr submits this node's value to a global-OR oracle round ending
+// with the current segment — the convergence oracle. The result is
+// available from GlobalOr in the next OnRound. At most one Submit per
+// segment; counted in Stats.OracleCalls.
 func (nd *Node) SubmitOr(local bool) {
 	w := nd.wk
 	w.orCnt++
 	w.or = w.or || local
 }
 
-// SubmitMax submits this node's value to a global-max oracle round (the
-// flat-backend half of StepMax; identity -Inf). The result is available
-// from GlobalMax in the next OnRound.
+// SubmitMax submits this node's value to a global-max oracle round
+// (identity -Inf). The result is available from GlobalMax in the next
+// OnRound.
 func (nd *Node) SubmitMax(local float64) {
 	w := nd.wk
 	w.maxCnt++
@@ -98,9 +90,8 @@ func (nd *Node) GlobalOr() bool { return nd.eng.orGlobal }
 func (nd *Node) GlobalMax() float64 { return nd.eng.maxGlobal }
 
 // flatSweep steps every live RoundProgram of the chunk once: round 0 runs
-// Init, later rounds drain the node's mailbox and run OnRound. This is
-// the loop that replaces the coroutine backend's two stack switches per
-// node-round with one interface call.
+// Init, later rounds drain the node's mailbox and run OnRound — one
+// interface call per node-round.
 //
 // Panic handling is chunk-scoped rather than per-node (a deferred recover
 // per step would tax the hot loop): the first panicking node aborts the

@@ -17,66 +17,27 @@ type stepProg struct {
 func (p *stepProg) Init(nd *Node) bool                   { return p.init(nd) }
 func (p *stepProg) OnRound(nd *Node, in []Incoming) bool { return p.onRound(nd, in) }
 
-// TestFlatStatsAccounting is the flat twin of TestStatsAccounting: the
-// same hand-countable triangle traffic, expressed as a state machine, must
-// produce exactly the same Stats the coroutine test pins.
+// TestFlatStatsAccounting pins the audited triangle Stats in both delivery
+// modes — one worker scatters, three stage — and through a Runner.
 func TestFlatStatsAccounting(t *testing.T) {
 	g := triangle(t)
-	st := RunFlat(g, Config{Seed: 7, Profile: true}, func(*Node) RoundProgram {
-		round := 0
-		return &stepProg{
-			init: func(nd *Node) bool {
-				nd.SendAll(Signal{})
-				return true
-			},
-			onRound: func(nd *Node, in []Incoming) bool {
-				round++
-				switch round {
-				case 1:
-					if len(in) != 2 {
-						t.Errorf("node %d: %d incoming, want 2", nd.ID(), len(in))
-					}
-					if nd.ID() == 0 {
-						nd.Send(1, Count(17))
-					}
-					return true
-				case 2:
-					for _, m := range in {
-						if c, ok := m.Msg.(Count); !ok || c != 17 {
-							t.Errorf("node %d: unexpected delivery %v", nd.ID(), m)
-						}
-					}
-					nd.SubmitOr(false)
-					return true
-				default:
-					return false
-				}
-			},
-		}
-	})
-	if st.Rounds != 3 || st.Messages != 7 || st.Bits != 11 ||
-		st.MaxMessageBits != 5 || st.OracleCalls != 3 {
-		t.Fatalf("flat stats diverge from the audited coroutine values: %v", st)
-	}
-	if len(st.Profile) != 3 || !st.Profile[2].Oracle {
-		t.Fatalf("flat profile malformed: %+v", st.Profile)
-	}
-	if pr := st.PipelinedRounds(2); pr != 5 {
-		t.Fatalf("PipelinedRounds(2) = %d, want 5", pr)
+	for _, workers := range []int{1, 3} {
+		label := fmt.Sprintf("workers=%d", workers)
+		checkTriangleAudit(t, label, RunFlat(g, Config{Seed: 7, Profile: true, Workers: workers}, triangleAudit(t)))
+		r := NewRunner(g, Config{Profile: true, Workers: workers})
+		checkTriangleAudit(t, label+"/runner", r.RunFlat(7, triangleAudit(t)))
+		r.Close()
 	}
 }
 
-// TestFlatEquivalentToCoroutine runs one engine-level program in both
-// forms — sends, plain rounds, an OR round and a max round, staggered
-// completion — and requires identical Stats and identical per-node
-// transcripts.
+// TestFlatEquivalentToCoroutine runs one engine-level program — sends,
+// plain rounds, an OR round and a max round, staggered completion — at
+// several worker counts and requires identical per-node transcripts and
+// the hand-derived Stats every form of the program (including the retired
+// blocking one) produces.
 func TestFlatEquivalentToCoroutine(t *testing.T) {
 	g := ring(257)
 	const rounds = 6
-	transcript := func(run func(out []uint64) *Stats) ([]uint64, *Stats) {
-		out := make([]uint64, g.N())
-		return out, run(out)
-	}
 	note := func(out []uint64, nd *Node, in []Incoming) {
 		h := out[nd.ID()]
 		for _, m := range in {
@@ -84,72 +45,73 @@ func TestFlatEquivalentToCoroutine(t *testing.T) {
 		}
 		out[nd.ID()] = h
 	}
-	coro, coroStats := transcript(func(out []uint64) *Stats {
-		return Run(g, Config{Seed: 5, Profile: true}, func(nd *Node) {
-			r := nd.Rand()
-			for i := 0; i < rounds; i++ {
-				nd.Send(r.Intn(nd.Deg()), Count(float64(nd.ID()+i)))
-				in := nd.Step()
-				note(out, nd, in)
-			}
-			nd.StepOr(nd.ID()%3 == 0)
-			nd.StepMax(float64(nd.ID()))
-			if nd.ID()%2 == 0 {
-				nd.Step() // stagger completion across a round
-			}
-		})
-	})
+	// Six send rounds, the OR round, the max round, and one more round
+	// for the even nodes.
+	var bits int64
+	maxBits := 0
+	for v := 0; v < g.N(); v++ {
+		for i := 0; i < rounds; i++ {
+			b := Count(float64(v + i)).Bits()
+			bits += int64(b)
+			maxBits = max(maxBits, b)
+		}
+	}
+	var base []uint64
 	for _, workers := range []int{1, 2, 7} {
-		flat, flatStats := transcript(func(out []uint64) *Stats {
-			return RunFlat(g, Config{Seed: 5, Profile: true, Workers: workers}, func(*Node) RoundProgram {
-				i := 0
-				return &stepProg{
-					init: func(nd *Node) bool {
-						nd.Send(nd.Rand().Intn(nd.Deg()), Count(float64(nd.ID())))
-						return true
-					},
-					onRound: func(nd *Node, in []Incoming) bool {
-						switch {
-						case i < rounds:
-							note(out, nd, in)
-							i++
-							if i < rounds {
-								nd.Send(nd.Rand().Intn(nd.Deg()), Count(float64(nd.ID()+i)))
-								return true
-							}
-							nd.SubmitOr(nd.ID()%3 == 0)
+		out := make([]uint64, g.N())
+		st := RunFlat(g, Config{Seed: 5, Profile: true, Workers: workers}, func(*Node) RoundProgram {
+			i := 0
+			return &stepProg{
+				init: func(nd *Node) bool {
+					nd.Send(nd.Rand().Intn(nd.Deg()), Count(float64(nd.ID())))
+					return true
+				},
+				onRound: func(nd *Node, in []Incoming) bool {
+					switch {
+					case i < rounds:
+						note(out, nd, in)
+						i++
+						if i < rounds {
+							nd.Send(nd.Rand().Intn(nd.Deg()), Count(float64(nd.ID()+i)))
 							return true
-						case i == rounds:
-							i++
-							nd.SubmitMax(float64(nd.ID()))
-							return true
-						default:
-							i++
-							return nd.ID()%2 == 0 && i == rounds+2
 						}
-					},
-				}
-			})
+						nd.SubmitOr(nd.ID()%3 == 0)
+						return true
+					case i == rounds:
+						i++
+						nd.SubmitMax(float64(nd.ID()))
+						return true
+					default:
+						i++
+						return nd.ID()%2 == 0 && i == rounds+2
+					}
+				},
+			}
 		})
-		for v := range coro {
-			if coro[v] != flat[v] {
+		if base == nil {
+			base = out
+		}
+		for v := range base {
+			if out[v] != base[v] {
 				t.Fatalf("workers=%d: node %d transcript differs", workers, v)
 			}
 		}
-		if coroStats.Rounds != flatStats.Rounds || coroStats.Messages != flatStats.Messages ||
-			coroStats.Bits != flatStats.Bits || coroStats.OracleCalls != flatStats.OracleCalls ||
-			coroStats.MaxMessageBits != flatStats.MaxMessageBits {
-			t.Fatalf("workers=%d: stats differ: %v vs %v", workers, coroStats, flatStats)
+		if st.Rounds != rounds+3 || st.Messages != int64(rounds*g.N()) || st.Bits != bits ||
+			st.MaxMessageBits != maxBits || st.OracleCalls != int64(2*g.N()) {
+			t.Fatalf("workers=%d: stats %v, want rounds=%d messages=%d bits=%d maxMsgBits=%d oracleCalls=%d",
+				workers, st, rounds+3, rounds*g.N(), bits, maxBits, 2*g.N())
 		}
 	}
 }
 
 // TestFlatOracleResults pins SubmitOr/SubmitMax semantics: the global
-// result aggregates every submitted value and arrives in the next round.
+// result aggregates every submitted value (OR with one true input, OR of
+// all-false, max, max of negatives) and arrives in the next round; each
+// oracle round charges one call per node.
 func TestFlatOracleResults(t *testing.T) {
 	g := path4(t)
 	vals := []float64{3, -8, 11, 0.5}
-	RunFlat(g, Config{Seed: 1}, func(*Node) RoundProgram {
+	st := RunFlat(g, Config{Seed: 1}, func(*Node) RoundProgram {
 		step := 0
 		return &stepProg{
 			init: func(nd *Node) bool {
@@ -164,20 +126,33 @@ func TestFlatOracleResults(t *testing.T) {
 						t.Errorf("node %d: OR with one true input reported false", nd.ID())
 					}
 					nd.SubmitMax(vals[nd.ID()])
-					return true
-				default:
+				case 2:
 					if nd.GlobalMax() != 11 {
 						t.Errorf("node %d: max = %v, want 11", nd.ID(), nd.GlobalMax())
 					}
+					nd.SubmitOr(false)
+				case 3:
+					if nd.GlobalOr() {
+						t.Errorf("node %d: OR of all-false reported true", nd.ID())
+					}
+					nd.SubmitMax(-float64(nd.ID() + 1))
+				default:
+					if nd.GlobalMax() != -1 {
+						t.Errorf("node %d: max = %v, want -1", nd.ID(), nd.GlobalMax())
+					}
 					return false
 				}
+				return true
 			},
 		}
 	})
+	if st.Rounds != 4 || st.OracleCalls != 16 {
+		t.Fatalf("stats %v, want rounds=4 oracleCalls=16", st)
+	}
 }
 
-// TestFlatEarlyReturnAndFinalSends mirrors the coroutine contract: a
-// program may end at any round; sends from its final segment still arrive.
+// TestFlatEarlyReturnAndFinalSends: a program may end at any round; sends
+// from its final segment still arrive.
 func TestFlatEarlyReturnAndFinalSends(t *testing.T) {
 	g := path4(t)
 	var got Incoming
@@ -262,7 +237,7 @@ func TestFlatDesyncDetection(t *testing.T) {
 	t.Fatal("desync was not detected")
 }
 
-// TestFlatMaxRounds: the runaway guard works identically on flat.
+// TestFlatMaxRounds: the runaway guard stops a program that never ends.
 func TestFlatMaxRounds(t *testing.T) {
 	g := triangle(t)
 	defer func() {
@@ -279,29 +254,7 @@ func TestFlatMaxRounds(t *testing.T) {
 	t.Fatal("runaway flat protocol was not stopped")
 }
 
-// TestFlatRejectsBlockingPrimitives: calling Step from a RoundProgram is a
-// programming error with a dedicated message, not a nil-deref.
-func TestFlatRejectsBlockingPrimitives(t *testing.T) {
-	g := triangle(t)
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "coroutine backend") {
-			t.Fatalf("expected backend-misuse panic, got %v", r)
-		}
-	}()
-	RunFlat(g, Config{Seed: 1}, func(*Node) RoundProgram {
-		return &stepProg{
-			init: func(nd *Node) bool {
-				nd.Step()
-				return true
-			},
-			onRound: func(nd *Node, in []Incoming) bool { return false },
-		}
-	})
-	t.Fatal("blocking Step inside a RoundProgram was not rejected")
-}
-
-// TestFlatZeroAndTinyGraphs: degenerate inputs behave like the coroutine
-// backend.
+// TestFlatZeroAndTinyGraphs: the engine handles empty and edgeless graphs.
 func TestFlatZeroAndTinyGraphs(t *testing.T) {
 	empty := graph.NewBuilder(0).MustBuild()
 	st := RunFlat(empty, Config{Seed: 1}, func(*Node) RoundProgram {
@@ -330,20 +283,6 @@ func TestFlatZeroAndTinyGraphs(t *testing.T) {
 	})
 	if !ran || st.Rounds != 1 || st.Messages != 0 {
 		t.Fatalf("lone node run malformed: ran=%v %v", ran, st)
-	}
-}
-
-// TestBackendStrings pins the Backend knob's semantics and formatting.
-func TestBackendStrings(t *testing.T) {
-	if !BackendAuto.UseFlat() || !BackendFlat.UseFlat() || BackendCoroutine.UseFlat() {
-		t.Fatal("Backend.UseFlat truth table wrong")
-	}
-	for b, want := range map[Backend]string{
-		BackendAuto: "auto", BackendCoroutine: "coroutine", BackendFlat: "flat",
-	} {
-		if b.String() != want {
-			t.Fatalf("Backend(%d).String() = %q, want %q", b, b, want)
-		}
 	}
 }
 

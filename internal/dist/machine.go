@@ -1,30 +1,22 @@
 package dist
 
 // Machine composition: the framework that lets round-structured
-// sub-protocols written as state machines nest inside one RoundProgram,
-// the way blocking sub-protocols nest inside one blocking program by
-// plain function call. It generalizes the israeliitai.ClassMachine
-// pattern (which internal/lpr drives per weight class): a Machine is a
-// resumable protocol fragment, Seq chains fragments — sequences, loops,
-// conditionals — into larger fragments, and AsProgram turns the outermost
-// fragment into a RoundProgram the flat backend executes with zero stack
-// switches. internal/core composes its Algorithm 2-4 pipeline (counting
-// BFS, conflict-graph MIS token walk, commit broadcast, repeated per
-// (ℓ, class) iteration) this way; see DESIGN.md §1.
+// sub-protocols written as state machines nest inside one RoundProgram.
+// It generalizes the israeliitai.ClassMachine pattern (which internal/lpr
+// drives per weight class): a Machine is a resumable protocol fragment,
+// Seq chains fragments — sequences, loops, conditionals — into larger
+// fragments, and AsProgram turns the outermost fragment into a
+// RoundProgram. internal/core composes its Algorithm 2-4 pipeline
+// (counting BFS, conflict-graph MIS token walk, commit broadcast,
+// repeated per (ℓ, class) iteration) this way; see DESIGN.md §1.
 //
-// The correspondence with blocking composition is exact. A blocking
-// sub-protocol occupies a contiguous run of its caller's segments: the
-// caller's code before the call and the sub-protocol's code before its
-// first Step share a segment, and the sub-protocol's code after its last
-// Step and the caller's code after the call share one too. Machine
-// mirrors both seams: Start is the fragment's first segment piece (run in
-// the parent's current segment), each OnRound consumes one finished
-// round, and a true return from either hands the rest of that same
-// segment back to the parent — which may chain the next Machine's Start
-// there, exactly as a blocking caller would invoke the next sub-protocol
-// before its next Step. A faithful transliteration therefore reproduces
-// the blocking original round for round, send for send, RNG draw for RNG
-// draw — the property the cross-backend differential suites assert.
+// The seams are segment-exact. A fragment occupies a contiguous run of
+// its parent's segments: Start is the fragment's first segment piece (run
+// inside the parent's current segment), each OnRound consumes one
+// finished round, and a true return from either hands the rest of that
+// same segment back to the parent — which may chain the next fragment's
+// Start there. Composition therefore adds no rounds, sends or RNG draws
+// of its own: a composed protocol costs exactly the sum of its fragments.
 
 // Machine is a composable protocol fragment in state-machine form. The
 // contract mirrors RoundProgram with inverted completion polarity (done
@@ -32,8 +24,7 @@ package dist
 // fragment finished inside the current segment, the rest of the segment
 // is mine":
 //
-//   - Start runs the fragment's first segment piece — everything a
-//     blocking sub-protocol does before its first Step. It reports true
+//   - Start runs the fragment's first segment piece. It reports true
 //     if the fragment completed without reaching a barrier (a
 //     zero-iteration loop body, an empty class); the caller then owns
 //     the rest of the segment. On false the caller must end its segment
@@ -57,12 +48,11 @@ type Machine interface {
 // or nil to complete the sequence. Because next is consulted again after
 // every completion, it expresses straight-line sequences, loops (return
 // the same machine re-armed), and data-dependent branches (inspect the
-// previous machine's results) alike — the flat counterpart of the
-// blocking code between two sub-protocol calls.
+// previous machine's results) alike — the parent's code between two
+// sub-protocol calls.
 //
 // Sub-machines that complete without reaching a barrier are chained
-// within the current segment, exactly like consecutive blocking calls
-// that never Step.
+// within the current segment.
 //
 // A Seq does not rewind at Start: to reuse one across iterations or
 // runs, Reset it with a fresh (or rewound) policy first, the way the
@@ -117,9 +107,9 @@ func SeqOf(ms ...Machine) *Seq {
 	return s
 }
 
-// ProbeOr is the one-round global-OR oracle probe as a Machine — the
-// composable form of the blocking StepOr(local) with its messages
-// discarded. After it completes, Result holds the aggregate. The typical
+// ProbeOr is the one-round global-OR oracle probe as a Machine: it
+// submits local, discards the round's messages, and on completion holds
+// the aggregate in Result. The typical
 // use is a convergence check between loop iterations: arm with the local
 // "still have work" bit, run, branch on Result in the Seq policy.
 type ProbeOr struct {
@@ -140,8 +130,7 @@ func (p *ProbeOr) OnRound(nd *Node, in []Incoming) (done bool) {
 	return true
 }
 
-// ProbeMax is ProbeOr for the global-max oracle (identity -Inf) — the
-// composable StepMax.
+// ProbeMax is ProbeOr for the global-max oracle (identity -Inf).
 type ProbeMax struct {
 	local  float64
 	Result float64
@@ -167,9 +156,8 @@ type machineProgram struct {
 }
 
 // AsProgram wraps a Machine as the node's whole RoundProgram. finish, if
-// non-nil, runs in the machine's final segment — the place a blocking
-// program records its outputs between its last Step and its return;
-// sends made there are still delivered.
+// non-nil, runs in the machine's final segment — the place to record the
+// node's outputs; sends made there are still delivered.
 func AsProgram(m Machine, finish func(nd *Node)) RoundProgram {
 	return &machineProgram{m: m, finish: finish}
 }

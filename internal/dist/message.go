@@ -12,7 +12,7 @@ type Message interface {
 }
 
 // Incoming is one delivered message: the local port it arrived on and its
-// payload. Step returns incomings in increasing port order.
+// payload. OnRound receives incomings in increasing port order.
 type Incoming struct {
 	Port int
 	Msg  Message

@@ -31,20 +31,27 @@ type ping struct{ Signal }
 func bfsDistances(r *Runner, seed uint64, rounds int) []int {
 	n := r.Graph().N()
 	dist := make([]int, n)
-	r.Run(seed, func(nd *Node) {
-		d := -1
-		if nd.ID() == 0 {
-			d = 0
-			nd.SendAll(ping{})
+	r.RunFlat(seed, func(*Node) RoundProgram {
+		d, rr := -1, 0
+		return &stepProg{
+			init: func(nd *Node) bool {
+				if nd.ID() == 0 {
+					d = 0
+					nd.SendAll(ping{})
+				}
+				dist[nd.ID()] = d
+				return rounds > 0
+			},
+			onRound: func(nd *Node, in []Incoming) bool {
+				rr++
+				if d == -1 && len(in) > 0 {
+					d = rr
+					nd.SendAll(ping{})
+				}
+				dist[nd.ID()] = d
+				return rr < rounds
+			},
 		}
-		for rr := 1; rr <= rounds; rr++ {
-			in := nd.Step()
-			if d == -1 && len(in) > 0 {
-				d = rr
-				nd.SendAll(ping{})
-			}
-		}
-		dist[nd.ID()] = d
 	})
 	return dist
 }
@@ -116,9 +123,9 @@ func TestMaskAccounting(t *testing.T) {
 	defer r.Close()
 	r.SetEdgeLive(g.EdgeBetween(1, 3), false)
 
-	// One SendAll per node, one Step: 2*(live edges) messages total, and
+	// One SendAll per node, one round: 2*(live edges) messages total, and
 	// explicit Sends on dead ports charge nothing.
-	st := r.Run(3, func(nd *Node) {
+	st := r.RunFlat(3, once(func(nd *Node) {
 		nd.SendAll(ping{})
 		// Also try an explicit send on every dead port: must be dropped.
 		for p := 0; p < nd.Deg(); p++ {
@@ -126,8 +133,7 @@ func TestMaskAccounting(t *testing.T) {
 				nd.Send(p, ping{})
 			}
 		}
-		nd.Step()
-	})
+	}))
 	if want := int64(2 * 4); st.Messages != want {
 		t.Fatalf("Messages = %d, want %d (only live arcs charged)", st.Messages, want)
 	}
@@ -142,11 +148,11 @@ func TestWeightOverlay(t *testing.T) {
 
 	readW := func() float64 {
 		var w float64
-		r.Run(1, func(nd *Node) {
+		r.RunFlat(1, once(func(nd *Node) {
 			if nd.ID() == 0 {
 				w = nd.EdgeWeight(0)
 			}
-		})
+		}))
 		return w
 	}
 	if w := readW(); w != 2.5 {

@@ -7,18 +7,17 @@ import (
 )
 
 // Runner amortizes per-run engine setup across many runs on one graph.
-// A fresh Run/RunFlat pays O(n+m) allocation (mailbox buffers, node and
-// RNG slabs, the Step return slab), worker construction and — above one
-// worker — dispatch goroutine spawning on every call; with the flat
-// backend's per-round cost down to ~tens of nanoseconds per node-round,
-// that setup dominates short runs (seed sweeps, per-slot switch
+// A fresh RunFlat pays O(n+m) slab setup (mailbox buffers, node and RNG
+// slabs, the inbox slab), worker construction and — above one worker —
+// dispatch goroutine spawning on every call; with per-round cost down to
+// ~tens of nanoseconds per node-round, that setup dominates short runs (seed sweeps, per-slot switch
 // schedules, experiment batteries). A Runner builds the engine once and
 // resets it per run: mailboxes are cleared in place, RNG streams are
 // reseeded, and the worker pool (including its dispatch goroutines)
 // stays warm. BenchmarkRunnerFresh/BenchmarkRunnerReuse measure the win.
 //
-// Results are bit-identical to fresh Run/RunFlat calls with the same
-// Config and seed (TestRunnerMatchesRun). A Runner is not safe for
+// Results are bit-identical to fresh RunFlat calls with the same Config
+// and seed (TestRunnerMatchesRun). A Runner is not safe for
 // concurrent use; a run that panics (program panic, MaxRounds, desync)
 // re-panics in the caller and leaves the Runner reusable.
 type Runner struct {
@@ -31,30 +30,6 @@ type Runner struct {
 // release its dispatch goroutines.
 func NewRunner(g *graph.Graph, cfg Config) *Runner {
 	return &Runner{e: newEngine(g, cfg)}
-}
-
-// Run executes one blocking program under the given seed — Run's pooled
-// counterpart.
-func (r *Runner) Run(seed uint64, program func(*Node)) *Stats {
-	e := r.check()
-	if e.n == 0 {
-		return &Stats{}
-	}
-	tel, tstart := telStart()
-	var st Stats
-	completed := false
-	defer func() { tel.record(tstart, &st, completed) }()
-	e.reset(seed)
-	e.launch(program)
-	defer func() {
-		e.abortLive()
-		releaseCoros(e.coros)
-		e.coros = nil
-	}()
-	e.loop()
-	st = e.stats
-	completed = true
-	return &st
 }
 
 // RunFlat executes one RoundProgram per node under the given seed —
@@ -71,10 +46,6 @@ func (r *Runner) RunFlat(seed uint64, factory func(nd *Node) RoundProgram) *Stat
 	completed := false
 	defer func() { tel.record(tstart, &st, completed) }()
 	e.reset(seed)
-	if e.progSlab == nil {
-		e.progSlab = make([]RoundProgram, e.n)
-	}
-	e.progs = e.progSlab
 	e.forEachActive(func(nd *Node) { e.progs[nd.id] = factory(nd) })
 	defer e.abortLive()
 	e.loop()
@@ -144,9 +115,6 @@ func (e *engine) reset(seed uint64) {
 	e.planSweep()
 	e.forEachActive(func(nd *Node) {
 		e.state[nd.id] = 0
-		if e.coNext != nil {
-			e.coNext[nd.id], e.coYield[nd.id] = nil, nil
-		}
 		e.rnds[nd.id].Seed(rng.ForkSeed(seed, uint64(nd.id)))
 	})
 	for i := range e.workers {
@@ -167,9 +135,7 @@ func (e *engine) reset(seed uint64) {
 		e.crashedList = e.crashedList[:0]
 		e.crashed = nil
 	}
-	e.aborting = false
 	e.orGlobal, e.maxGlobal = false, 0
-	e.progs = nil
 	// A fresh Stats each run: the previous run's copy was returned to the
 	// caller, so its roundMaxBits backing array must not be reused.
 	e.stats = Stats{}

@@ -8,22 +8,61 @@ import (
 	"distmatch/internal/graph"
 )
 
-// runnerWorkload is a small blocking program exercising sends, RNG and an
-// oracle round, with per-node output into out.
-func runnerWorkload(out []int64) func(*Node) {
-	return func(nd *Node) {
-		acc := int64(0)
-		for r := 0; r < 6; r++ {
-			nd.SendAll(Count(nd.Rand().Intn(100)))
-			for _, in := range nd.Step() {
-				acc += int64(in.Msg.(Count))
-			}
+// runnerWorkload exercises sends, RNG and an oracle round, with per-node
+// output into out.
+func runnerWorkload(out []int64) func(*Node) RoundProgram {
+	return func(*Node) RoundProgram {
+		r, acc := 0, int64(0)
+		return &stepProg{
+			init: func(nd *Node) bool {
+				nd.SendAll(Count(nd.Rand().Intn(100)))
+				return true
+			},
+			onRound: func(nd *Node, in []Incoming) bool {
+				r++
+				if r > 6 { // the oracle round just ended
+					if nd.GlobalOr() {
+						acc++
+					}
+					out[nd.ID()] = acc
+					return false
+				}
+				for _, m := range in {
+					acc += int64(m.Msg.(Count))
+				}
+				if r < 6 {
+					nd.SendAll(Count(nd.Rand().Intn(100)))
+				} else {
+					nd.SubmitOr(nd.ID() == 0)
+				}
+				return true
+			},
 		}
-		_, any := nd.StepOr(nd.ID() == 0)
-		if any {
-			acc++
+	}
+}
+
+// boomAt beacons once, then panics with msg at node id on its first
+// OnRound while everyone else beacons once more.
+func boomAt(id int, msg string) func(*Node) RoundProgram {
+	return func(*Node) RoundProgram {
+		step := 0
+		return &stepProg{
+			init: func(nd *Node) bool {
+				nd.SendAll(Signal{})
+				return true
+			},
+			onRound: func(nd *Node, in []Incoming) bool {
+				step++
+				if step > 1 {
+					return false
+				}
+				if nd.ID() == id {
+					panic(msg)
+				}
+				nd.SendAll(Signal{})
+				return true
+			},
 		}
-		out[nd.ID()] = acc
 	}
 }
 
@@ -43,7 +82,7 @@ func runnerStatsEqual(t *testing.T, label string, want, got *Stats) {
 }
 
 // TestRunnerMatchesRun proves Runner runs are bit-identical to fresh
-// Run/RunFlat calls, across seeds, worker counts and both backends.
+// RunFlat calls, across seeds and worker counts.
 func TestRunnerMatchesRun(t *testing.T) {
 	g := ring(37)
 	for _, workers := range []int{1, 4} {
@@ -55,17 +94,17 @@ func TestRunnerMatchesRun(t *testing.T) {
 			fcfg.Seed = seed
 
 			fresh := make([]int64, g.N())
-			want := Run(g, fcfg, runnerWorkload(fresh))
+			want := RunFlat(g, fcfg, runnerWorkload(fresh))
 			pooled := make([]int64, g.N())
-			got := r.Run(seed, runnerWorkload(pooled))
-			runnerStatsEqual(t, label+"/coro", want, got)
+			got := r.RunFlat(seed, runnerWorkload(pooled))
+			runnerStatsEqual(t, label+"/workload", want, got)
 			if !reflect.DeepEqual(fresh, pooled) {
 				t.Fatalf("%s: outputs differ: %v vs %v", label, fresh, pooled)
 			}
 
 			wantF := RunFlat(g, fcfg, func(*Node) RoundProgram { return &countdownProgram{left: 5} })
 			gotF := r.RunFlat(seed, func(*Node) RoundProgram { return &countdownProgram{left: 5} })
-			runnerStatsEqual(t, label+"/flat", wantF, gotF)
+			runnerStatsEqual(t, label+"/countdown", wantF, gotF)
 		}
 		r.Close()
 	}
@@ -98,27 +137,18 @@ func TestRunnerReuseAfterPanic(t *testing.T) {
 	r := NewRunner(g, Config{Workers: 3})
 	defer r.Close()
 
-	boom := func(nd *Node) {
-		nd.SendAll(Signal{})
-		nd.Step()
-		if nd.ID() == 7 {
-			panic("boom")
-		}
-		nd.SendAll(Signal{})
-		nd.Step()
-	}
 	func() {
 		defer func() {
 			if rec := recover(); rec != "boom" {
 				t.Fatalf("expected boom panic, got %v", rec)
 			}
 		}()
-		r.Run(1, boom)
+		r.RunFlat(1, boomAt(7, "boom"))
 	}()
 
 	out := make([]int64, g.N())
-	want := Run(g, Config{Seed: 2, Workers: 3}, runnerWorkload(out))
-	got := r.Run(2, runnerWorkload(make([]int64, g.N())))
+	want := RunFlat(g, Config{Seed: 2, Workers: 3}, runnerWorkload(out))
+	got := r.RunFlat(2, runnerWorkload(make([]int64, g.N())))
 	runnerStatsEqual(t, "after panic", want, got)
 
 	// MaxRounds abort is a panic too; the Runner must survive it as well.
@@ -130,13 +160,9 @@ func TestRunnerReuseAfterPanic(t *testing.T) {
 		}()
 		rr := NewRunner(g, Config{MaxRounds: 2})
 		defer rr.Close()
-		rr.Run(1, func(nd *Node) {
-			for {
-				nd.Step()
-			}
-		})
+		rr.RunFlat(1, forever)
 	}()
-	got2 := r.Run(2, runnerWorkload(make([]int64, g.N())))
+	got2 := r.RunFlat(2, runnerWorkload(make([]int64, g.N())))
 	runnerStatsEqual(t, "after maxrounds", want, got2)
 }
 
@@ -156,7 +182,7 @@ func (p *panicOnRoundProgram) OnRound(nd *Node, in []Incoming) bool {
 // guarantee to active-set execution: a program panic mid-run with a
 // restricted active set must leave the Runner reusable, with the next
 // run over the same slab bit-identical to a fresh engine built with the
-// same restriction — on both backends.
+// same restriction.
 func TestRunnerActiveSetReuseAfterPanic(t *testing.T) {
 	g := ring(20)
 	active := []int32{2, 3, 4, 5, 6, 7, 8}
@@ -164,35 +190,26 @@ func TestRunnerActiveSetReuseAfterPanic(t *testing.T) {
 	defer r.Close()
 	r.SetActive(active)
 
-	boom := func(nd *Node) {
-		nd.SendAll(Signal{})
-		nd.Step()
-		if nd.ID() == 5 {
-			panic("active boom")
-		}
-		nd.SendAll(Signal{})
-		nd.Step()
-	}
 	func() {
 		defer func() {
 			if rec := recover(); rec != "active boom" {
 				t.Fatalf("expected active boom panic, got %v", rec)
 			}
 		}()
-		r.Run(1, boom)
+		r.RunFlat(1, boomAt(5, "active boom"))
 	}()
 
-	// Coroutine backend: bit-identical to a fresh restricted engine.
+	// Bit-identical to a fresh restricted engine.
 	out := make([]int64, g.N())
-	got := r.Run(2, runnerWorkload(out))
+	got := r.RunFlat(2, runnerWorkload(out))
 	fresh := make([]int64, g.N())
-	want := Run(g, Config{Seed: 2, Workers: 3, ActiveSet: active}, runnerWorkload(fresh))
+	want := RunFlat(g, Config{Seed: 2, Workers: 3, ActiveSet: active}, runnerWorkload(fresh))
 	runnerStatsEqual(t, "active after panic", want, got)
 	if !reflect.DeepEqual(fresh, out) {
 		t.Fatalf("outputs differ after active-set panic: %v vs %v", fresh, out)
 	}
 
-	// Flat backend, panicking machine this time.
+	// A machine that panics from its first OnRound this time.
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -214,9 +231,9 @@ func TestRunnerActiveSetReuseAfterPanic(t *testing.T) {
 	// Widening back to a full sweep must also match a fresh full engine.
 	r.ClearActive()
 	out2 := make([]int64, g.N())
-	got2 := r.Run(5, runnerWorkload(out2))
+	got2 := r.RunFlat(5, runnerWorkload(out2))
 	fresh2 := make([]int64, g.N())
-	want2 := Run(g, Config{Seed: 5, Workers: 3}, runnerWorkload(fresh2))
+	want2 := RunFlat(g, Config{Seed: 5, Workers: 3}, runnerWorkload(fresh2))
 	runnerStatsEqual(t, "full after active panic", want2, got2)
 	if !reflect.DeepEqual(fresh2, out2) {
 		t.Fatal("full-sweep outputs differ after active-set panic run")
@@ -227,9 +244,6 @@ func TestRunnerActiveSetReuseAfterPanic(t *testing.T) {
 func TestRunnerEdgeCases(t *testing.T) {
 	empty := graph.NewBuilder(0).MustBuild()
 	r := NewRunner(empty, Config{})
-	if st := r.Run(1, func(*Node) {}); st.Rounds != 0 {
-		t.Fatalf("empty graph ran %d rounds", st.Rounds)
-	}
 	if st := r.RunFlat(1, func(*Node) RoundProgram { return &countdownProgram{left: 1} }); st.Rounds != 0 {
 		t.Fatalf("empty graph ran %d flat rounds", st.Rounds)
 	}
@@ -240,7 +254,7 @@ func TestRunnerEdgeCases(t *testing.T) {
 			t.Fatal("expected panic on Run after Close")
 		}
 	}()
-	r.Run(1, func(*Node) {})
+	r.RunFlat(1, forever)
 }
 
 // TestRunnerCloseRecyclesSlabs pins the cheap spawn-use-close cycle the
@@ -250,7 +264,7 @@ func TestRunnerEdgeCases(t *testing.T) {
 func TestRunnerCloseRecyclesSlabs(t *testing.T) {
 	r := NewRunner(ring(64), Config{})
 	out := make([]int64, 64)
-	r.Run(7, runnerWorkload(out))
+	r.RunFlat(7, runnerWorkload(out))
 	if r.e.slabs == nil {
 		t.Fatal("open Runner lost its slab bundle")
 	}

@@ -63,7 +63,7 @@ func (e *engine) takeSlabs(n, arcs int) {
 	e.rnds = sized(sl.rnds, n)
 	e.state = sized(sl.state, n)
 	e.inCnt = sized(sl.inCnt, n)
-	e.progSlab = sized(sl.progs, n)
+	e.progs = sized(sl.progs, n)
 	e.slabs = sl
 }
 
@@ -84,7 +84,7 @@ func (e *engine) putSlabs() {
 	sl.rnds = e.rnds[:cap(e.rnds)]
 	sl.state = e.state[:cap(e.state)]
 	sl.inCnt = e.inCnt[:cap(e.inCnt)]
-	sl.progs = e.progSlab[:cap(e.progSlab)]
+	sl.progs = e.progs[:cap(e.progs)]
 	clear(sl.cur)
 	clear(sl.rnds)
 	clear(sl.nxt)
@@ -96,6 +96,6 @@ func (e *engine) putSlabs() {
 	e.cur, e.nxt, e.inSlab = nil, nil, nil
 	e.nodes, e.state, e.inCnt = nil, nil, nil
 	e.rnds = nil
-	e.progs, e.progSlab = nil, nil
+	e.progs = nil
 	slabPool.Put(sl)
 }

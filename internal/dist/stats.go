@@ -2,10 +2,10 @@ package dist
 
 import "fmt"
 
-// Stats is the aggregate cost of one Run.
+// Stats is the aggregate cost of one run.
 type Stats struct {
-	// Rounds is the number of synchronous rounds executed: one per Step /
-	// StepOr / StepMax barrier reached by at least one running node.
+	// Rounds is the number of synchronous rounds executed: one per barrier
+	// reached by at least one running node (a RoundProgram returning true).
 	Rounds int
 	// Messages is the total number of Send operations across all nodes
 	// and rounds (sent, not necessarily read by the receiver).
@@ -24,7 +24,8 @@ type Stats struct {
 	// the engine's real sweep work and scales with the active set.
 	NodeRounds int64
 	// OracleCalls counts per-node uses of the global aggregation oracle:
-	// each StepOr/StepMax round adds one per participating (active) node.
+	// each SubmitOr/SubmitMax round adds one per participating (active)
+	// node.
 	// A real network pays Θ(diameter) rounds per aggregation; experiment
 	// notes convert with graph.Diameter (see DESIGN.md §2).
 	OracleCalls int64
@@ -54,7 +55,7 @@ type RoundProfile struct {
 	Bits     int64
 	// MaxBits is the widest message sent this round.
 	MaxBits int
-	// Oracle marks a StepOr/StepMax round.
+	// Oracle marks a SubmitOr/SubmitMax round.
 	Oracle bool
 }
 

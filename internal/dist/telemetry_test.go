@@ -7,7 +7,7 @@ import (
 )
 
 // TestEngineTelemetry: installed process-wide telemetry accumulates the
-// run's Stats exactly, across all four entry points; an aborted run
+// run's Stats exactly, across fresh and Runner runs; an aborted run
 // counts only toward the aborted counter; uninstalling stops recording.
 func TestEngineTelemetry(t *testing.T) {
 	defer SetTelemetry(nil)
@@ -20,25 +20,22 @@ func TestEngineTelemetry(t *testing.T) {
 	sweep := reg.Histogram("engine_sweep_ns", "")
 
 	g := triangle(t)
-	program := func(nd *Node) {
-		nd.SendAll(Signal{})
-		nd.Step()
-	}
-	st := Run(g, Config{Seed: 1}, program)
+	program := func(*Node) RoundProgram { return beaconProg{} }
+	st := RunFlat(g, Config{Seed: 1}, program)
 	if runs.Value() != 1 || rounds.Value() != int64(st.Rounds) || msgs.Value() != st.Messages {
-		t.Fatalf("after Run: runs=%d rounds=%d msgs=%d, want 1/%d/%d",
+		t.Fatalf("after RunFlat: runs=%d rounds=%d msgs=%d, want 1/%d/%d",
 			runs.Value(), rounds.Value(), msgs.Value(), st.Rounds, st.Messages)
 	}
 	if sweep.Count() != 1 {
 		t.Fatalf("sweep histogram count %d, want 1", sweep.Count())
 	}
 
-	// The other three entry points accumulate into the same counters.
-	st2 := RunFlat(g, Config{Seed: 1}, func(nd *Node) RoundProgram { return beaconProg{} })
+	// Further fresh and Runner runs accumulate into the same counters.
+	st2 := RunFlat(g, Config{Seed: 2}, program)
 	r := NewRunner(g, Config{})
 	defer r.Close()
-	st3 := r.Run(2, program)
-	st4 := r.RunFlat(3, func(nd *Node) RoundProgram { return beaconProg{} })
+	st3 := r.RunFlat(2, program)
+	st4 := r.RunFlat(3, program)
 	if runs.Value() != 4 {
 		t.Fatalf("runs=%d, want 4", runs.Value())
 	}
@@ -54,12 +51,7 @@ func TestEngineTelemetry(t *testing.T) {
 				t.Fatal("MaxRounds run did not panic")
 			}
 		}()
-		Run(g, Config{Seed: 1, MaxRounds: 1}, func(nd *Node) {
-			for {
-				nd.SendAll(Signal{})
-				nd.Step()
-			}
-		})
+		RunFlat(g, Config{Seed: 1, MaxRounds: 1}, forever)
 	}()
 	if aborted.Value() != 1 || runs.Value() != 4 {
 		t.Fatalf("after abort: aborted=%d runs=%d, want 1/4", aborted.Value(), runs.Value())
@@ -67,7 +59,7 @@ func TestEngineTelemetry(t *testing.T) {
 
 	// Uninstall: further runs record nothing.
 	SetTelemetry(nil)
-	Run(g, Config{Seed: 1}, program)
+	RunFlat(g, Config{Seed: 1}, program)
 	if runs.Value() != 4 {
 		t.Fatalf("uninstalled telemetry still recorded: runs=%d", runs.Value())
 	}

@@ -10,7 +10,6 @@ package dynamic
 import (
 	"testing"
 
-	"distmatch/internal/dist"
 	"distmatch/internal/exact"
 	"distmatch/internal/gen"
 	"distmatch/internal/golden"
@@ -133,13 +132,14 @@ func TestPropertyBudgetedMode(t *testing.T) {
 	}
 }
 
-// TestPropertyBackendsAgree: the coroutine and flat repair paths are
-// bit-identical, so whole maintainer histories must coincide.
+// TestPropertyBackendsAgree pins a whole maintainer history — the served
+// matching after every apply — to the digest recorded while the retired
+// coroutine repair path and the machine one were asserted identical.
 func TestPropertyBackendsAgree(t *testing.T) {
-	history := func(be dist.Backend) []string {
+	history := func() []string {
 		r := rng.New(55)
 		g := gen.BipartiteGnp(r.Fork(1), 10, 10, 0.3)
-		mt := New(g, Options{K: 3, Seed: 6, StartEmpty: true, AuditEvery: 4, Backend: be})
+		mt := New(g, Options{K: 3, Seed: 6, StartEmpty: true, AuditEvery: 4})
 		defer mt.Close()
 		var h []string
 		for step := 0; step < 20; step++ {
@@ -148,16 +148,7 @@ func TestPropertyBackendsAgree(t *testing.T) {
 		}
 		return h
 	}
-	hc := history(dist.BackendCoroutine)
-	hf := history(dist.BackendFlat)
-	for i := range hc {
-		if hc[i] != hf[i] {
-			t.Fatalf("backends diverge at step %d:\n  coro %s\n  flat %s", i, hc[i], hf[i])
-		}
-	}
-	tab := golden.Open(t, "property_history")
-	tab.Check(t, "history", golden.New().Add(hc))
-	tab.Check(t, "history", golden.New().Add(hf))
+	golden.Open(t, "property_history").Check(t, "history", golden.New().Add(history()))
 }
 
 func matchKey(g *graph.Graph, m *graph.Matching) string {

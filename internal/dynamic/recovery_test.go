@@ -174,12 +174,14 @@ func TestRecoveryRandomFaultsHeal(t *testing.T) {
 	}
 }
 
-// TestRecoveryBackendsAgree runs one faulty history on both backends:
-// matchings, health and fault counts must coincide step for step.
+// TestRecoveryBackendsAgree pins one faulty history — matchings, health
+// and fault counts step for step — to the digest recorded while the
+// retired coroutine repair path and the machine one were asserted
+// identical.
 func TestRecoveryBackendsAgree(t *testing.T) {
-	history := func(be dist.Backend) []string {
+	history := func() []string {
 		g := gen.BipartiteGnp(rng.New(55), 8, 8, 0.3)
-		mt := New(g, Options{K: 2, Seed: 5, StartEmpty: true, AuditEvery: 3, Backend: be})
+		mt := New(g, Options{K: 2, Seed: 5, StartEmpty: true, AuditEvery: 3})
 		defer mt.Close()
 		r := rng.New(66)
 		var h []string
@@ -203,19 +205,7 @@ func TestRecoveryBackendsAgree(t *testing.T) {
 		}
 		return h
 	}
-	hc := history(dist.BackendCoroutine)
-	hf := history(dist.BackendFlat)
-	if len(hc) != len(hf) {
-		t.Fatalf("history lengths diverge: %d vs %d", len(hc), len(hf))
-	}
-	for i := range hc {
-		if hc[i] != hf[i] {
-			t.Fatalf("histories diverge at %d: %q vs %q", i, hc[i], hf[i])
-		}
-	}
-	tab := golden.Open(t, "recovery_history")
-	tab.Check(t, "history", golden.New().Add(hc))
-	tab.Check(t, "history", golden.New().Add(hf))
+	golden.Open(t, "recovery_history").Check(t, "history", golden.New().Add(history()))
 }
 
 // TestRecoveryCrashNode pins the serving-layer crash entry point: every

@@ -3,8 +3,9 @@ package graph
 // Classical graph utilities used across the repository: BFS distances,
 // connected components, and diameter. The diameter matters to this project
 // specifically because the simulator's global aggregation primitives
-// (dist.StepOr and friends) cost Θ(diameter) rounds in a real network —
-// experiment notes convert Stats.OracleCalls into real rounds with it.
+// (dist's SubmitOr/SubmitMax oracle rounds) cost Θ(diameter) rounds in a
+// real network — experiment notes convert Stats.OracleCalls into real
+// rounds with it.
 
 // BFSFrom returns hop distances from src (-1 where unreachable).
 func (g *Graph) BFSFrom(src int) []int {

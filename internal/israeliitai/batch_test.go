@@ -12,30 +12,31 @@ import (
 )
 
 // TestRunSeedsMatchesRun proves the batch sweep is bit-identical to
-// independent runs, on both backends and several worker counts.
+// independent runs and to the committed digests, at several worker
+// counts.
 func TestRunSeedsMatchesRun(t *testing.T) {
 	g := gen.Gnm(rng.New(91), 120, 360)
 	seeds := []uint64{3, 1, 4, 1, 5, 9} // repeats on purpose
 	tab := golden.Open(t, "israeliitai_seeds")
 	for _, oracle := range []bool{true, false} {
-		for _, backend := range []dist.Backend{dist.BackendFlat, dist.BackendCoroutine} {
+		{
 			for _, workers := range []int{1, 4} {
-				cfg := dist.Config{Workers: workers, Backend: backend, Profile: true}
+				cfg := dist.Config{Workers: workers, Profile: true}
 				ms, sts := RunSeeds(g, cfg, seeds, oracle)
 				for i, seed := range seeds {
 					scfg := cfg
 					scfg.Seed = seed
 					wm, wst := RunWithConfig(g, scfg, oracle)
 					if !reflect.DeepEqual(wm.Edges(g), ms[i].Edges(g)) {
-						t.Fatalf("backend=%v workers=%d seed=%d: matchings differ", backend, workers, seed)
+						t.Fatalf("workers=%d seed=%d: matchings differ", workers, seed)
 					}
 					if wst.Rounds != sts[i].Rounds || wst.Messages != sts[i].Messages ||
 						wst.Bits != sts[i].Bits || wst.OracleCalls != sts[i].OracleCalls {
-						t.Fatalf("backend=%v workers=%d seed=%d: stats differ: %v vs %v",
-							backend, workers, seed, wst, sts[i])
+						t.Fatalf("workers=%d seed=%d: stats differ: %v vs %v",
+							workers, seed, wst, sts[i])
 					}
 					if !reflect.DeepEqual(wst.Profile, sts[i].Profile) {
-						t.Fatalf("backend=%v workers=%d seed=%d: profiles differ", backend, workers, seed)
+						t.Fatalf("workers=%d seed=%d: profiles differ", workers, seed)
 					}
 					tab.Check(t, fmt.Sprintf("oracle=%v/seed=%d", oracle, seed), runDigest(g, ms[i], sts[i]))
 				}

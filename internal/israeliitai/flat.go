@@ -1,15 +1,10 @@
 package israeliitai
 
-// Flat-backend (dist.RoundProgram) form of the protocol. ClassMachine is
-// the state-machine transliteration of State.RunClass, segment for
-// segment: the same RNG draws in the same order, the same sends, the same
-// barrier structure, so a flat run is bit-identical — matching, Stats,
-// per-round profile — to a coroutine run with the same seed
-// (TestFlatMatchesCoroutine* prove it). Keep the two in lockstep when
-// changing either.
-//
-// Like RunClass, ClassMachine is composable: internal/lpr drives one per
-// weight class over a shared *State inside its own RoundProgram.
+// The protocol as a state machine. ClassMachine runs one class — the
+// protocol restricted to an eligible port subset — segment by segment;
+// machine wraps one class over every port as the whole node program.
+// ClassMachine is composable: internal/lpr drives one per weight class
+// over a shared *State inside its own RoundProgram.
 
 import (
 	"distmatch/internal/dist"
@@ -27,8 +22,13 @@ const (
 	phDone                    // class complete
 )
 
-// ClassMachine executes one RunClass invocation as a per-round state
-// machine. Zero value is unusable; call Reset first. The driving
+// ClassMachine runs the Israeli–Itai protocol restricted to ports where
+// eligible(p) is true and whose far endpoint has not announced being
+// matched. If oracle is true, iterations continue until a global OR
+// reports no live edge remains (4 rounds per iteration, maximality
+// guaranteed); otherwise exactly iters iterations run (3 rounds each,
+// maximal w.h.p. for iters = Budget(n)). Zero value is unusable; call
+// Reset first. The driving
 // RoundProgram calls Start for the class's first segment and then routes
 // every inbox to OnRound until one of them reports done — the
 // dist.Machine contract, which dist.Seq and internal/core's phase
@@ -48,8 +48,7 @@ type ClassMachine struct {
 	live         []int // live-port buffer, reused across iterations
 }
 
-// Reset arms the machine for one class run over st — the flat analogue of
-// calling st.RunClass(nd, eligible, iters, oracle).
+// Reset arms the machine for one class run over st.
 func (m *ClassMachine) Reset(st *State, eligible func(p int) bool, iters int, oracle bool) {
 	m.st, m.eligible, m.iters, m.oracle = st, eligible, iters, oracle
 	m.it = 0
@@ -135,7 +134,7 @@ func (m *ClassMachine) OnRound(nd *dist.Node, in []dist.Incoming) (done bool) {
 
 // iterationTop runs the segment at the head of the iteration loop: refresh
 // the live-port list, then either submit the oracle probe or (budget mode)
-// go straight to proposing. Mirrors the top of RunClass's loop exactly.
+// go straight to proposing.
 func (m *ClassMachine) iterationTop(nd *dist.Node) (done bool) {
 	if !m.oracle && m.it >= m.iters {
 		m.ph = phDone
@@ -154,7 +153,7 @@ func (m *ClassMachine) iterationTop(nd *dist.Node) (done bool) {
 }
 
 // propose runs the round-1 segment: proposers send over one random live
-// edge. Same draws as RunClass: one Bool, then one Intn iff proposing.
+// edge: one Bool, then one Intn iff proposing.
 func (m *ClassMachine) propose(nd *dist.Node) {
 	st, r := m.st, nd.Rand()
 	m.proposer, m.proposedPort = false, -1
@@ -168,8 +167,8 @@ func (m *ClassMachine) propose(nd *dist.Node) {
 	m.ph = phR1
 }
 
-// computeLive refreshes the live-port buffer; same contents and order as
-// State.livePorts.
+// computeLive refreshes the live-port buffer: a free node's eligible
+// ports whose far endpoint has not announced a match, in port order.
 func (m *ClassMachine) computeLive(nd *dist.Node) {
 	m.live = m.live[:0]
 	if !m.st.Free {
@@ -188,8 +187,8 @@ var _ dist.Machine = (*ClassMachine)(nil)
 // everyPort is the whole-graph eligibility used by the plain protocol.
 func everyPort(int) bool { return true }
 
-// machine is the whole-protocol RoundProgram behind Run/RunBudget on the
-// flat backend: one class over every port, then record the matched edge.
+// machine is the whole-protocol RoundProgram behind Run/RunBudget: one
+// class over every port, then record the matched edge.
 type machine struct {
 	cm          ClassMachine
 	matchedEdge []int32
@@ -218,8 +217,9 @@ func (m *machine) OnRound(nd *dist.Node, in []dist.Incoming) bool {
 	return true
 }
 
-// runFlat is the flat-backend implementation of RunWithConfig/RunBudget.
-func runFlat(g *graph.Graph, cfg dist.Config, iters int, oracle bool) (*graph.Matching, *dist.Stats) {
+// run runs the protocol over every port for iters iterations (or to
+// maximality under the oracle).
+func run(g *graph.Graph, cfg dist.Config, iters int, oracle bool) (*graph.Matching, *dist.Stats) {
 	matchedEdge := make([]int32, g.N())
 	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
 		m := &machine{matchedEdge: matchedEdge}

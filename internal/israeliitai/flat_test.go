@@ -12,7 +12,7 @@ import (
 	"distmatch/internal/rng"
 )
 
-// diffTopologies is the cross-backend test bed: random graphs plus the
+// diffTopologies is the golden-digest test bed: random graphs plus the
 // pathological shapes (star: one hot responder; complete: dense proposal
 // storms; path/cycle: long sparse chains; lone edge and edgeless: trivia).
 func diffTopologies(t *testing.T) map[string]*graph.Graph {
@@ -35,17 +35,17 @@ func diffTopologies(t *testing.T) map[string]*graph.Graph {
 // statsEqual compares every externally observable Stats field, including
 // the per-round profile and the pipelining re-costing (which exercises the
 // private per-round max-bits record).
-func statsEqual(t *testing.T, label string, coro, flat *dist.Stats) {
+func statsEqual(t *testing.T, label string, want, got *dist.Stats) {
 	t.Helper()
-	if coro.Rounds != flat.Rounds || coro.Messages != flat.Messages ||
-		coro.Bits != flat.Bits || coro.MaxMessageBits != flat.MaxMessageBits ||
-		coro.OracleCalls != flat.OracleCalls {
-		t.Fatalf("%s: stats differ: coro %v vs flat %v", label, coro, flat)
+	if want.Rounds != got.Rounds || want.Messages != got.Messages ||
+		want.Bits != got.Bits || want.MaxMessageBits != got.MaxMessageBits ||
+		want.OracleCalls != got.OracleCalls {
+		t.Fatalf("%s: stats differ: %v vs %v", label, want, got)
 	}
-	if !reflect.DeepEqual(coro.Profile, flat.Profile) {
+	if !reflect.DeepEqual(want.Profile, got.Profile) {
 		t.Fatalf("%s: per-round profiles differ", label)
 	}
-	if coro.PipelinedRounds(16) != flat.PipelinedRounds(16) {
+	if want.PipelinedRounds(16) != got.PipelinedRounds(16) {
 		t.Fatalf("%s: pipelined round estimates differ", label)
 	}
 }
@@ -62,9 +62,10 @@ func matchingsEqual(t *testing.T, label string, g *graph.Graph, a, b *graph.Matc
 	}
 }
 
-// TestFlatMatchesCoroutine is the backend equivalence proof for
-// Israeli–Itai: same seed ⇒ bit-identical matching and identical Stats on
-// every topology, in both termination modes, at multiple worker counts.
+// TestFlatMatchesCoroutine pins Israeli–Itai to the digests recorded when
+// it matched the coroutine form: same seed ⇒ the committed matching and
+// Stats on every topology, in both termination modes, at multiple worker
+// counts.
 func TestFlatMatchesCoroutine(t *testing.T) {
 	tab := golden.Open(t, "israeliitai")
 	for name, g := range diffTopologies(t) {
@@ -75,15 +76,9 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 			} else {
 				label += "/budget"
 			}
-			cfg := dist.Config{Seed: 99, Profile: true, Backend: dist.BackendCoroutine}
-			cm, cst := RunWithConfig(g, cfg, oracle)
-			tab.Check(t, label, runDigest(g, cm, cst))
 			for _, workers := range []int{1, 2, 3, 8} {
-				cfg := dist.Config{Seed: 99, Profile: true, Workers: workers, Backend: dist.BackendFlat}
-				fm, fst := RunWithConfig(g, cfg, oracle)
-				matchingsEqual(t, label, g, cm, fm)
-				statsEqual(t, label, cst, fst)
-				tab.Check(t, label, runDigest(g, fm, fst))
+				m, st := RunWithConfig(g, dist.Config{Seed: 99, Profile: true, Workers: workers}, oracle)
+				tab.Check(t, label, runDigest(g, m, st))
 			}
 		}
 	}
@@ -96,32 +91,30 @@ func TestFlatRunBudgetMatches(t *testing.T) {
 	tab := golden.Open(t, "israeliitai_budget")
 	for _, iters := range []int{1, 2, 5} {
 		key := fmt.Sprintf("iters=%d", iters)
-		cm, cst := runBackend(g, dist.Config{Seed: 5, Backend: dist.BackendCoroutine}, iters, false)
-		fm, fst := runBackend(g, dist.Config{Seed: 5, Backend: dist.BackendFlat, Workers: 3}, iters, false)
-		matchingsEqual(t, "tree", g, cm, fm)
-		statsEqual(t, "tree", cst, fst)
-		tab.Check(t, key, runDigest(g, cm, cst))
-		tab.Check(t, key, runDigest(g, fm, fst))
+		for _, workers := range []int{0, 3} {
+			m, st := run(g, dist.Config{Seed: 5, Workers: workers}, iters, false)
+			tab.Check(t, key, runDigest(g, m, st))
+		}
 	}
 }
 
-// TestFlatDefaultBackend pins the auto-selection contract: the default
-// config runs flat, and it is indistinguishable from an explicit request.
+// TestFlatDefaultBackend pins the entry-point contract: Run is
+// RunWithConfig with only the seed set.
 func TestFlatDefaultBackend(t *testing.T) {
 	g := gen.Gnp(rng.New(31), 120, 0.05)
 	am, ast := Run(g, 17, true)
-	fm, fst := RunWithConfig(g, dist.Config{Seed: 17, Backend: dist.BackendFlat}, true)
-	matchingsEqual(t, "auto-vs-flat", g, am, fm)
-	statsEqual(t, "auto-vs-flat", ast, fst)
+	fm, fst := RunWithConfig(g, dist.Config{Seed: 17}, true)
+	matchingsEqual(t, "run-vs-config", g, am, fm)
+	statsEqual(t, "run-vs-config", ast, fst)
 }
 
 // TestFlatDeterministicAcrossWorkers re-proves the engine determinism
-// guarantee on the flat backend with a real protocol.
+// guarantee with a real protocol.
 func TestFlatDeterministicAcrossWorkers(t *testing.T) {
 	g := gen.Gnp(rng.New(41), 257, 0.03)
-	base, bst := RunWithConfig(g, dist.Config{Seed: 3, Backend: dist.BackendFlat, Workers: 1}, true)
+	base, bst := RunWithConfig(g, dist.Config{Seed: 3, Workers: 1}, true)
 	for _, workers := range []int{2, 5, 64} {
-		m, st := RunWithConfig(g, dist.Config{Seed: 3, Backend: dist.BackendFlat, Workers: workers}, true)
+		m, st := RunWithConfig(g, dist.Config{Seed: 3, Workers: workers}, true)
 		matchingsEqual(t, "workers", g, base, m)
 		statsEqual(t, "workers", bst, st)
 	}

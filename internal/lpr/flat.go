@@ -1,30 +1,23 @@
 package lpr
 
-// Flat-backend (dist.Machine) form of the weight-class protocol — a
-// segment-for-segment transliteration of RunLocal/RunLocalWeights: one
-// StepMax-equivalent barrier for the global maximum weight, then one
+// The weight-class protocol as a composable dist.Machine: one global-max
+// oracle round for the maximum weight W, then one
 // israeliitai.ClassMachine per weight class, heaviest to lightest, over a
-// single shared israeliitai.State. Bit-identical to the coroutine form
-// (TestFlatMatchesCoroutine); keep the two in lockstep when changing
-// either.
-//
-// WeightsMachine is the composable unit: internal/core's Algorithm 5
-// drives one per outer iteration on the derived weights w_M, exactly as
-// its blocking form calls RunLocalWeights.
+// single shared israeliitai.State. internal/core's Algorithm 5 drives one
+// WeightsMachine per outer iteration on the derived weights w_M.
 
 import (
 	"math"
 
 	"distmatch/internal/dist"
-	"distmatch/internal/graph"
 	"distmatch/internal/israeliitai"
 )
 
-// WeightsMachine executes one RunLocalWeights invocation as a composable
-// dist.Machine: the flat analogue of calling RunLocalWeights(nd, w, eps,
-// oracle) from a blocking program. Zero value is unusable; call Reset
-// first. After the machine completes, Port holds the matched port (-1 if
-// none).
+// WeightsMachine runs the weight-class protocol with explicit per-port
+// weights as a composable dist.Machine; ports with non-positive weight
+// never match. It costs one global-max round plus Classes(n, eps)
+// Israeli–Itai class runs. Zero value is unusable; call Reset first.
+// After the machine completes, Port holds the matched port (-1 if none).
 type WeightsMachine struct {
 	w      []float64
 	eps    float64
@@ -53,8 +46,8 @@ func (m *WeightsMachine) Reset(w []float64, eps float64, oracle bool) {
 	m.Port = -1
 }
 
-// Start submits this node's maximum weight to the global-max aggregation
-// — everything RunLocalWeights does before its StepMax barrier.
+// Start submits this node's maximum weight to the global-max oracle
+// round.
 func (m *WeightsMachine) Start(nd *dist.Node) (done bool) {
 	localMax := math.Inf(-1)
 	for _, x := range m.w {
@@ -121,26 +114,4 @@ func (m *WeightsMachine) startClasses(nd *dist.Node) (done bool) {
 	}
 	m.Port = m.st.MatchedPort
 	return true
-}
-
-// runFlat is the flat-backend implementation behind Run/RunWithConfig: a
-// WeightsMachine over the graph's own edge weights, wrapped as the whole
-// node program.
-func runFlat(g *graph.Graph, cfg dist.Config, eps float64, oracle bool) (*graph.Matching, *dist.Stats) {
-	matchedEdge := make([]int32, g.N())
-	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
-		w := make([]float64, nd.Deg())
-		for p := range w {
-			w[p] = nd.EdgeWeight(p)
-		}
-		wm := &WeightsMachine{}
-		wm.Reset(w, eps, oracle)
-		return dist.AsProgram(wm, func(nd *dist.Node) {
-			matchedEdge[nd.ID()] = -1
-			if wm.Port >= 0 {
-				matchedEdge[nd.ID()] = int32(nd.EdgeID(wm.Port))
-			}
-		})
-	})
-	return graph.CollectMatching(g, matchedEdge), stats
 }

@@ -1,15 +1,10 @@
 package lpr
 
-// Flat-backend (dist.RoundProgram) form of LocalGreedy — the
-// locally-heaviest-edge protocol whose Θ(n)-round pathology (E7's
-// adversarial chain) is exactly where per-node-round cost dominates.
-// Segment-for-segment transliteration of the blocking program in lpr.go;
-// bit-identical for equal seeds (TestFlatGreedyMatchesCoroutine).
+// LocalGreedy as a RoundProgram — the locally-heaviest-edge protocol
+// whose Θ(n)-round pathology (E7's adversarial chain) is exactly where
+// per-node-round cost dominates.
 
-import (
-	"distmatch/internal/dist"
-	"distmatch/internal/graph"
-)
+import "distmatch/internal/dist"
 
 // greedyMachine is one node's LocalGreedy state machine.
 type greedyMachine struct {
@@ -35,7 +30,7 @@ const (
 )
 
 // better reports whether port p's edge is heavier than port q's (ties by
-// edge id) — the same total order as the blocking closure.
+// edge id, so the order is total).
 func (m *greedyMachine) better(nd *dist.Node, p, q int) bool {
 	wp, wq := nd.EdgeWeight(p), nd.EdgeWeight(q)
 	if wp != wq {
@@ -139,14 +134,4 @@ func (m *greedyMachine) endIteration(nd *dist.Node) (again bool) {
 	m.sendClaim(nd)
 	m.stage = lgClaim
 	return true
-}
-
-// runFlatGreedy is the flat-backend implementation behind
-// LocalGreedy/LocalGreedyWithConfig.
-func runFlatGreedy(g *graph.Graph, cfg dist.Config, maxIters int, oracle bool) (*graph.Matching, *dist.Stats) {
-	matchedEdge := make([]int32, g.N())
-	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
-		return &greedyMachine{maxIters: maxIters, oracle: oracle, matchedEdge: matchedEdge}
-	})
-	return graph.CollectMatching(g, matchedEdge), stats
 }

@@ -1,7 +1,6 @@
 package lpr
 
 import (
-	"reflect"
 	"testing"
 
 	"distmatch/internal/dist"
@@ -16,22 +15,10 @@ func runDigest(g *graph.Graph, m *graph.Matching, st *dist.Stats) *golden.Digest
 	return golden.New().Matching(g, m).Stats(st)
 }
 
-func statsEqual(t *testing.T, label string, coro, flat *dist.Stats) {
-	t.Helper()
-	if coro.Rounds != flat.Rounds || coro.Messages != flat.Messages ||
-		coro.Bits != flat.Bits || coro.MaxMessageBits != flat.MaxMessageBits ||
-		coro.OracleCalls != flat.OracleCalls {
-		t.Fatalf("%s: stats differ: coro %v vs flat %v", label, coro, flat)
-	}
-	if !reflect.DeepEqual(coro.Profile, flat.Profile) {
-		t.Fatalf("%s: per-round profiles differ", label)
-	}
-}
-
-// TestFlatMatchesCoroutine is the backend equivalence proof for the
-// weight-class (¼−ε)-MWM: same seed ⇒ bit-identical matching and
-// identical Stats on random, adversarial-chain and degenerate topologies,
-// both termination modes, several worker counts.
+// TestFlatMatchesCoroutine pins the weight-class (¼−ε)-MWM to the digests
+// recorded when it matched the coroutine form: same seed ⇒ the committed
+// matching and Stats on random, adversarial-chain and degenerate
+// topologies, both termination modes, several worker counts.
 func TestFlatMatchesCoroutine(t *testing.T) {
 	tops := map[string]*graph.Graph{
 		"gnm-uniform": gen.UniformWeights(rng.New(71), gen.Gnm(rng.New(72), 150, 500), 1, 100),
@@ -50,29 +37,23 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 			} else {
 				label += "/budget"
 			}
-			cm, cst := RunWithConfig(g, dist.Config{Seed: 88, Profile: true, Backend: dist.BackendCoroutine}, 0.1, oracle)
-			tab.Check(t, label, runDigest(g, cm, cst))
 			for _, workers := range []int{1, 3, 8} {
-				fm, fst := RunWithConfig(g, dist.Config{Seed: 88, Profile: true, Workers: workers, Backend: dist.BackendFlat}, 0.1, oracle)
-				if !reflect.DeepEqual(cm.Edges(g), fm.Edges(g)) {
-					t.Fatalf("%s: matchings differ: %v vs %v", label, cm.Edges(g), fm.Edges(g))
-				}
-				statsEqual(t, label, cst, fst)
-				tab.Check(t, label, runDigest(g, fm, fst))
+				m, st := RunWithConfig(g, dist.Config{Seed: 88, Profile: true, Workers: workers}, 0.1, oracle)
+				tab.Check(t, label, runDigest(g, m, st))
 			}
 		}
 	}
 }
 
-// TestFlatGuaranteeHolds re-checks the approximation guarantee on a flat
-// run in its own right.
+// TestFlatGuaranteeHolds re-checks the approximation guarantee on a run
+// in its own right.
 func TestFlatGuaranteeHolds(t *testing.T) {
 	g := gen.UniformWeights(rng.New(81), gen.Gnm(rng.New(82), 120, 360), 1, 50)
-	m, _ := RunWithConfig(g, dist.Config{Seed: 4, Backend: dist.BackendFlat}, 0.05, true)
+	m, _ := RunWithConfig(g, dist.Config{Seed: 4}, 0.05, true)
 	if err := m.Verify(g); err != nil {
 		t.Fatal(err)
 	}
 	if m.Weight(g) <= 0 {
-		t.Fatal("flat run produced an empty matching on a weighted graph")
+		t.Fatal("run produced an empty matching on a weighted graph")
 	}
 }

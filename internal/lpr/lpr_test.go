@@ -66,7 +66,7 @@ func TestBudgetMode(t *testing.T) {
 	if err := m.Verify(g); err != nil {
 		t.Fatal(err)
 	}
-	// One StepMax for the global weight is the only oracle use.
+	// One global-max round for the maximum weight is the only oracle use.
 	if stats.OracleCalls != int64(g.N()) {
 		t.Fatalf("oracle calls %d, want exactly n=%d (the W aggregation)", stats.OracleCalls, g.N())
 	}

@@ -9,25 +9,38 @@ import (
 	"distmatch/internal/rng"
 )
 
+// runWeights drives one WeightsMachine per node over caller-supplied
+// per-port weights — the embedding Algorithm 5 uses — and returns each
+// node's matched port.
+func runWeights(g *graph.Graph, seed uint64, eps float64, weight func(nd *dist.Node, p int) float64) []int {
+	ports := make([]int, g.N())
+	dist.RunFlat(g, dist.Config{Seed: seed}, func(nd *dist.Node) dist.RoundProgram {
+		w := make([]float64, nd.Deg())
+		for p := range w {
+			w[p] = weight(nd, p)
+		}
+		m := &WeightsMachine{}
+		m.Reset(w, eps, true)
+		return dist.AsProgram(m, func(nd *dist.Node) { ports[nd.ID()] = m.Port })
+	})
+	return ports
+}
+
 // TestRunLocalWeightsDerivedWeights drives the black box through the same
 // embedding Algorithm 5 uses: per-port weights supplied by the caller
 // rather than read from the graph.
 func TestRunLocalWeightsDerivedWeights(t *testing.T) {
 	g := gen.UniformWeights(rng.New(1), gen.Gnp(rng.New(2), 40, 0.15), 1, 50)
+	// Derived weights: double the graph weight (order preserved, so the
+	// matching class is unchanged).
+	ports := runWeights(g, 3, 0.05, func(nd *dist.Node, p int) float64 { return 2 * nd.EdgeWeight(p) })
 	matched := make([]int32, g.N())
-	dist.Run(g, dist.Config{Seed: 3}, func(nd *dist.Node) {
-		// Derived weights: double the graph weight (order preserved, so
-		// the matching class is unchanged).
-		w := make([]float64, nd.Deg())
-		for p := range w {
-			w[p] = 2 * nd.EdgeWeight(p)
+	for v, p := range ports {
+		matched[v] = -1
+		if p >= 0 {
+			matched[v] = int32(g.EdgeAt(v, p))
 		}
-		port := RunLocalWeights(nd, w, 0.05, true)
-		matched[nd.ID()] = -1
-		if port >= 0 {
-			matched[nd.ID()] = int32(nd.EdgeID(port))
-		}
-	})
+	}
 	m := graph.CollectMatching(g, matched)
 	if err := m.Verify(g); err != nil {
 		t.Fatal(err)
@@ -39,18 +52,10 @@ func TestRunLocalWeightsDerivedWeights(t *testing.T) {
 
 func TestRunLocalWeightsAllNegative(t *testing.T) {
 	g := gen.Gnp(rng.New(4), 20, 0.2)
-	matchedAny := false
-	dist.Run(g, dist.Config{Seed: 5}, func(nd *dist.Node) {
-		w := make([]float64, nd.Deg())
-		for p := range w {
-			w[p] = -1
+	for v, p := range runWeights(g, 5, 0.1, func(*dist.Node, int) float64 { return -1 }) {
+		if p >= 0 {
+			t.Fatalf("node %d matched a negative-weight edge", v)
 		}
-		if RunLocalWeights(nd, w, 0.1, true) >= 0 {
-			matchedAny = true
-		}
-	})
-	if matchedAny {
-		t.Fatal("matched a negative-weight edge")
 	}
 }
 

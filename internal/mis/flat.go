@@ -1,16 +1,10 @@
 package mis
 
-// Flat-backend (dist.RoundProgram) form of Luby's algorithm — a
-// segment-for-segment transliteration of the blocking program in Run:
-// identical RNG draws (one Float64 per iteration regardless of activity),
-// identical sends, identical barrier structure, hence bit-identical output
-// and Stats (TestFlatMatchesCoroutine). Keep the two in lockstep when
-// changing either.
+// Luby's algorithm as a RoundProgram. Every iteration draws one Float64
+// per node whether or not the node is still active, so all streams
+// advance in lockstep.
 
-import (
-	"distmatch/internal/dist"
-	"distmatch/internal/graph"
-)
+import "distmatch/internal/dist"
 
 type phase uint8
 
@@ -18,7 +12,7 @@ const (
 	phR1     phase = iota // parked on the priority-exchange round
 	phR2                  // parked on the join-announce round
 	phR3                  // parked on the retire-announce round
-	phOracle              // parked on the StepOr convergence probe
+	phOracle              // parked on the convergence oracle round
 )
 
 type machine struct {
@@ -45,8 +39,7 @@ func (m *machine) Init(nd *dist.Node) bool {
 }
 
 // iterationTop is the loop-head segment: draw this iteration's priority
-// (always, like the blocking form — the draw is unconditional there too)
-// and exchange it among active nodes.
+// (unconditionally) and exchange it among active nodes.
 func (m *machine) iterationTop(nd *dist.Node) {
 	m.mine = priority{val: nd.Rand().Float64(), id: nd.ID()}
 	if m.active {
@@ -127,14 +120,4 @@ func (m *machine) OnRound(nd *dist.Node, in []dist.Incoming) bool {
 		return true
 	}
 	panic("mis: OnRound on a completed machine")
-}
-
-// runFlat is the flat-backend implementation behind Run/RunWithConfig.
-func runFlat(g *graph.Graph, cfg dist.Config, oracle bool) ([]bool, *dist.Stats) {
-	inMIS := make([]bool, g.N())
-	iters := Budget(g.N())
-	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
-		return &machine{inMIS: inMIS, iters: iters, oracle: oracle}
-	})
-	return inMIS, stats
 }

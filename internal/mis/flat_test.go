@@ -1,7 +1,6 @@
 package mis
 
 import (
-	"reflect"
 	"testing"
 
 	"distmatch/internal/dist"
@@ -11,22 +10,10 @@ import (
 	"distmatch/internal/rng"
 )
 
-func statsEqual(t *testing.T, label string, coro, flat *dist.Stats) {
-	t.Helper()
-	if coro.Rounds != flat.Rounds || coro.Messages != flat.Messages ||
-		coro.Bits != flat.Bits || coro.MaxMessageBits != flat.MaxMessageBits ||
-		coro.OracleCalls != flat.OracleCalls {
-		t.Fatalf("%s: stats differ: coro %v vs flat %v", label, coro, flat)
-	}
-	if !reflect.DeepEqual(coro.Profile, flat.Profile) {
-		t.Fatalf("%s: per-round profiles differ", label)
-	}
-}
-
-// TestFlatMatchesCoroutine is the backend equivalence proof for Luby's
-// MIS: same seed ⇒ identical membership vector and identical Stats on
-// random and pathological topologies, both termination modes, several
-// worker counts.
+// TestFlatMatchesCoroutine pins Luby's MIS to the digests recorded when it
+// matched the coroutine form: same seed ⇒ the committed membership vector
+// and Stats on random and pathological topologies, both termination
+// modes, several worker counts.
 func TestFlatMatchesCoroutine(t *testing.T) {
 	tops := map[string]*graph.Graph{
 		"gnp":         gen.Gnp(rng.New(51), 150, 0.04),
@@ -46,26 +33,20 @@ func TestFlatMatchesCoroutine(t *testing.T) {
 			} else {
 				label += "/budget"
 			}
-			cm, cst := RunWithConfig(g, dist.Config{Seed: 77, Profile: true, Backend: dist.BackendCoroutine}, oracle)
-			tab.Check(t, label, golden.New().Add(cm).Stats(cst))
 			for _, workers := range []int{1, 3, 8} {
-				fm, fst := RunWithConfig(g, dist.Config{Seed: 77, Profile: true, Workers: workers, Backend: dist.BackendFlat}, oracle)
-				if !reflect.DeepEqual(cm, fm) {
-					t.Fatalf("%s: membership vectors differ", label)
-				}
-				statsEqual(t, label, cst, fst)
-				tab.Check(t, label, golden.New().Add(fm).Stats(fst))
+				member, st := RunWithConfig(g, dist.Config{Seed: 77, Profile: true, Workers: workers}, oracle)
+				tab.Check(t, label, golden.New().Add(member).Stats(st))
 			}
 		}
 	}
 }
 
-// TestFlatIsMaximal double-checks the flat result is a valid MIS in its
-// own right (not just equal to the coroutine one).
+// TestFlatIsMaximal double-checks the result is a valid MIS in its own
+// right (not just equal to a committed digest).
 func TestFlatIsMaximal(t *testing.T) {
 	g := gen.Gnp(rng.New(61), 200, 0.05)
-	member, _ := RunWithConfig(g, dist.Config{Seed: 9, Backend: dist.BackendFlat}, true)
+	member, _ := RunWithConfig(g, dist.Config{Seed: 9}, true)
 	if msg := Verify(g, member); msg != "" {
-		t.Fatalf("flat MIS invalid: %s", msg)
+		t.Fatalf("MIS invalid: %s", msg)
 	}
 }

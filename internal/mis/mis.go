@@ -48,76 +48,13 @@ func Run(g *graph.Graph, seed uint64, oracle bool) ([]bool, *dist.Stats) {
 	return RunWithConfig(g, dist.Config{Seed: seed}, oracle)
 }
 
-// RunWithConfig is Run with full engine configuration; cfg.Backend picks
-// between the bit-identical coroutine and flat executions (auto = flat).
+// RunWithConfig is Run with full engine configuration (profiling, limits,
+// workers).
 func RunWithConfig(g *graph.Graph, cfg dist.Config, oracle bool) ([]bool, *dist.Stats) {
-	if cfg.Backend.UseFlat() {
-		return runFlat(g, cfg, oracle)
-	}
 	inMIS := make([]bool, g.N())
-	stats := dist.Run(g, cfg, func(nd *dist.Node) {
-		r := nd.Rand()
-		active := true
-		nbrActive := make([]bool, nd.Deg())
-		for p := range nbrActive {
-			nbrActive[p] = true
-		}
-		member := false
-
-		for it := 0; oracle || it < Budget(nd.N()); it++ {
-			// Round 1: exchange priorities among active nodes.
-			mine := priority{val: r.Float64(), id: nd.ID()}
-			if active {
-				for p := 0; p < nd.Deg(); p++ {
-					if nbrActive[p] {
-						nd.Send(p, mine)
-					}
-				}
-			}
-			in := nd.Step()
-
-			// Round 2: local maxima join and announce.
-			if active {
-				win := true
-				for _, m := range in {
-					if q, ok := m.Msg.(priority); ok && q.beats(mine) {
-						win = false
-						break
-					}
-				}
-				if win {
-					member = true
-					active = false
-					nd.SendAll(joined{})
-				}
-			}
-			in = nd.Step()
-
-			// Round 3: dominated neighbors retire and announce.
-			wasActive := active
-			for _, m := range in {
-				if _, ok := m.Msg.(joined); ok {
-					nbrActive[m.Port] = false
-					active = false
-				}
-			}
-			if wasActive && !active {
-				nd.SendAll(retired{})
-			}
-			in = nd.Step()
-			for _, m := range in {
-				if _, ok := m.Msg.(retired); ok {
-					nbrActive[m.Port] = false
-				}
-			}
-
-			if oracle {
-				if _, more := nd.StepOr(active); !more {
-					break
-				}
-			}
-		}
-		inMIS[nd.ID()] = member
+	iters := Budget(g.N())
+	stats := dist.RunFlat(g, cfg, func(nd *dist.Node) dist.RoundProgram {
+		return &machine{inMIS: inMIS, iters: iters, oracle: oracle}
 	})
 	return inMIS, stats
 }

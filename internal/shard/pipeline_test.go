@@ -2,7 +2,6 @@ package shard
 
 import (
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -186,13 +185,13 @@ func TestPoolReadersNonBlockingDuringApply(t *testing.T) {
 // runPipelineSchedule drives one seeded churn + kill/fault schedule and
 // returns everything the determinism contract covers: per-slot Reports,
 // the final matching's edges, and the structured event trace.
-func runPipelineSchedule(t *testing.T, serial bool, workers int) ([]Report, []int, []string) {
+func runPipelineSchedule(t *testing.T, workers int) ([]Report, []int, []string) {
 	t.Helper()
 	reg := telemetry.New(telemetry.Options{EventCapacity: 1 << 14})
 	g := testSlab(21, 16, 16, 0.3)
 	p := New(g, Options{
 		Shards: 4, K: 2, Seed: 21, StartEmpty: true, AuditEvery: 4,
-		Serial: serial, Workers: workers, Telemetry: reg,
+		Workers: workers, Telemetry: reg,
 	})
 	defer p.Close()
 	p.SetKillPlan(NewKillPlan([]KillEvent{
@@ -219,34 +218,16 @@ func runPipelineSchedule(t *testing.T, serial bool, workers int) ([]Report, []in
 	return reports, p.Matching().Edges(g), reg.Events().Strings()
 }
 
-// TestPoolSerialPipelinedEquivalent is the differential oracle for the
-// PR-10 write path: the pipelined pool (concurrent commits, incremental
-// recompose, dirty-crossing worklist) must produce bit-identical
-// Reports, matchings and event traces to the Serial pool (inline
-// commits, full rescans — the PR-8/9 semantics), across worker counts.
-func TestPoolSerialPipelinedEquivalent(t *testing.T) {
+// TestPoolScheduleDigest pins the pool's write path — concurrent shard
+// commits, incremental recompose, dirty-crossing worklist — through kills
+// and faults: Reports, the final matching and the event trace match the
+// committed digest at every worker count. The digest was recorded while
+// an inline-commit, full-rescan write path produced the same bits.
+func TestPoolScheduleDigest(t *testing.T) {
 	tab := golden.Open(t, "pool_schedule")
-	repsS, matchS, traceS := runPipelineSchedule(t, true, 0)
-	tab.Check(t, "schedule", golden.New().Add(repsS, matchS, traceS))
 	for _, workers := range []int{0, 2} {
-		repsP, matchP, traceP := runPipelineSchedule(t, false, workers)
-		if !reflect.DeepEqual(repsP, repsS) {
-			for i := range repsS {
-				if !reflect.DeepEqual(repsP[i], repsS[i]) {
-					t.Fatalf("workers=%d slot %d report diverged:\npipelined %+v\nserial    %+v",
-						workers, i, repsP[i], repsS[i])
-				}
-			}
-			t.Fatalf("workers=%d reports diverged", workers)
-		}
-		if !reflect.DeepEqual(matchP, matchS) {
-			t.Fatalf("workers=%d final matching diverged: %v vs %v", workers, matchP, matchS)
-		}
-		if !reflect.DeepEqual(traceP, traceS) {
-			t.Fatalf("workers=%d event trace diverged:\npipelined:\n%s\nserial:\n%s",
-				workers, strings.Join(traceP, "\n"), strings.Join(traceS, "\n"))
-		}
-		tab.Check(t, "schedule", golden.New().Add(repsP, matchP, traceP))
+		reps, match, trace := runPipelineSchedule(t, workers)
+		tab.Check(t, "schedule", golden.New().Add(reps, match, trace))
 	}
 }
 

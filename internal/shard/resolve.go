@@ -7,10 +7,9 @@ import (
 )
 
 // markCross queues one crossing edge for the next resolution pass
-// (deduplicated). No-op in Serial mode, where every recompose scans the
-// whole crossing set anyway.
+// (deduplicated).
 func (p *Pool) markCross(e int32) {
-	if p.crossMark == nil || p.crossMark[e] {
+	if p.crossMark[e] {
 		return
 	}
 	p.crossMark[e] = true
@@ -21,17 +20,13 @@ func (p *Pool) markCross(e int32) {
 // v's matched/free state changes, since that is the only way v can
 // block or unblock a crossing match.
 func (p *Pool) markNodeCross(v int) {
-	if p.crossMark == nil {
-		return
-	}
 	for _, e := range p.nodeCross[v] {
 		p.markCross(e)
 	}
 }
 
 // markAllCross queues the entire crossing set — the reset after a
-// conflict repair rewrites the composed matching wholesale (what the
-// serial full scan re-examines on its next slot anyway).
+// conflict repair rewrites the composed matching wholesale.
 func (p *Pool) markAllCross() {
 	for _, ce := range p.crossing {
 		p.markCross(ce)
@@ -65,15 +60,15 @@ func (p *Pool) recountCrossing() {
 // audits it is the cheap always-on resolution that keeps the composed
 // answer valid and never silently empty.
 //
-// In pipelined mode both halves are incremental: only shards whose
-// served matching may have changed (ApplyReport.Changed, a rebuild, an
-// adopt push-back) are rescanned, and the greedy pass walks the dirty
-// crossing set instead of every crossing edge — amortizing resolution
-// across slots while staying bit-identical to the serial full scans
-// (TestPoolSerialPipelinedEquivalent). rep == nil is the initial full
-// compose in New.
+// Both halves are incremental: only shards whose served matching may
+// have changed (ApplyReport.Changed, a rebuild, an adopt push-back) are
+// rescanned, and the greedy pass walks the dirty crossing set instead of
+// every crossing edge — amortizing resolution across slots while staying
+// bit-identical to per-slot full scans (the pool_schedule golden table
+// was recorded while both ran side by side). rep == nil is the initial
+// full compose in New.
 func (p *Pool) recompose(rep *Report) {
-	full := rep == nil || p.opts.Serial
+	full := rep == nil
 	for _, slot := range p.shards {
 		if !slot.up || (!full && !slot.dirty) {
 			continue
@@ -112,8 +107,8 @@ func (p *Pool) recompose(rep *Report) {
 	}
 }
 
-// recomposeCrossingFull is the serial-mode (and initial-compose)
-// crossing resolution: one ascending scan over every crossing edge.
+// recomposeCrossingFull is the initial compose's crossing resolution: one
+// ascending scan over every crossing edge.
 func (p *Pool) recomposeCrossingFull(rep *Report) {
 	crossingMatched, newMatches := 0, 0
 	for _, ce := range p.crossing {
@@ -146,7 +141,7 @@ func (p *Pool) recomposeCrossingFull(rep *Report) {
 	p.emitCrossing(rep, newMatches)
 }
 
-// resolveCrossing is the pipelined-mode crossing resolution: it
+// resolveCrossing is the per-slot crossing resolution: it
 // processes only the dirty set, in ascending edge id off a min-heap, and
 // reproduces the full scan's per-slot semantics exactly. The invariant
 // that makes skipping sound: a crossing edge the full scan would act on
@@ -378,7 +373,7 @@ func (p *Pool) runAudit(rep *Report) {
 	p.addCost(st)
 	// The repair rewrote the composed matching wholesale: restore the
 	// crossing counter by scan and re-examine the whole crossing set on
-	// the next slot — exactly what the serial full scan does anyway.
+	// the next slot — exactly what a per-slot full scan would.
 	p.recountCrossing()
 	p.markAllCross()
 	r, st = p.probe(probe)

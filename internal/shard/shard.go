@@ -53,17 +53,8 @@ type Options struct {
 	MaxRetries int
 	// StartEmpty begins with every edge of the slab dead.
 	StartEmpty bool
-	// Serial disables the per-shard commit pipelines and the dirty-set
-	// bookkeeping: shard applies run inline in ascending shard order and
-	// every recompose rescans every up shard and every crossing edge —
-	// the PR-8/9 write path. Reports, matchings and traces are pinned
-	// bit-identical to the pipelined mode (TestPoolSerialPipelined-
-	// Equivalent); Serial exists as that differential oracle and as the
-	// single-threaded baseline the serving benchmarks compare against.
-	Serial bool
-	// Workers and Backend configure every underlying engine.
+	// Workers configures every underlying engine.
 	Workers int
-	Backend dist.Backend
 	// Telemetry, when set, registers the pool's metric handles — per-shard
 	// up/health/backoff/restart gauges, routing and resolver counters, the
 	// pool_apply_ns and per-phase histograms — and makes the registry's
@@ -159,11 +150,11 @@ type Response struct {
 type ShardStatus struct {
 	Health        dynamic.Health
 	Up            bool
-	Restarts      int  // completed rebuilds
-	Backoff       int  // next kill's restart delay, in Apply slots
-	WakeAt        int  // slot of the pending auto-restart (down shards)
-	Nodes         int  // owned nodes
-	InternalEdges int  // owned (internal) slab edges
+	Restarts      int // completed rebuilds
+	Backoff       int // next kill's restart delay, in Apply slots
+	WakeAt        int // slot of the pending auto-restart (down shards)
+	Nodes         int // owned nodes
+	InternalEdges int // owned (internal) slab edges
 }
 
 // Stats aggregates a Pool's lifetime costs.
@@ -204,7 +195,7 @@ type shardSlot struct {
 
 	dirty bool          // served matching may have changed: recompose must rescan
 	batch dynamic.Batch // per-Apply routing buffer, reused
-	work  chan shardJob // commit pipeline feed (nil in Serial mode)
+	work  chan shardJob // commit pipeline feed
 }
 
 // shardJob is one shard's share of an Apply slot, dispatched to its
@@ -265,7 +256,7 @@ type Pool struct {
 	localEdge []int32 // local edge id (internal edges; -1 for crossing)
 	crossing  []int32 // crossing edge ids, ascending
 
-	// Dirty-crossing bookkeeping (pipelined mode): nodeCross lists each
+	// Dirty-crossing bookkeeping: nodeCross lists each
 	// node's incident crossing edges (ascending); crossMark/crossDirty
 	// are the pending dirty set the next resolution pass consumes;
 	// crossHeap is its scratch min-heap; crossMatched counts the
@@ -341,7 +332,7 @@ func New(g *graph.Graph, opts Options) *Pool {
 		localEdge: make([]int32, g.M()),
 		live:      make([]bool, g.M()),
 		gmatch:    make([]int32, g.N()),
-		resolver:  dist.NewRunner(g, dist.Config{Workers: opts.Workers, Backend: opts.Backend}),
+		resolver:  dist.NewRunner(g, dist.Config{Workers: opts.Workers}),
 		seedBase:  rng.ForkSeed(opts.Seed, 0x9e3779b97f4a7c15),
 		clients:   make(map[string]*clientRec),
 	}
@@ -351,9 +342,8 @@ func New(g *graph.Graph, opts Options) *Pool {
 	p.tel = newPoolTel(opts.Telemetry, opts.Shards)
 	p.partition()
 	p.repairer = core.NewBipartiteRepairer(p.resolver, p.gmatch, core.RepairOptions{
-		K:       opts.K,
-		Oracle:  true,
-		Backend: opts.Backend,
+		K:      opts.K,
+		Oracle: true,
 	})
 	if opts.AuditEvery > 0 {
 		p.auditIn = opts.AuditEvery
@@ -439,18 +429,16 @@ func (p *Pool) partition() {
 		}
 		slot.sub = b.MustBuild()
 	}
-	if !p.opts.Serial {
-		p.nodeCross = make([][]int32, p.g.N())
-		p.crossMark = make([]bool, p.g.M())
-		for _, ce := range p.crossing {
-			x, y := p.g.Endpoints(int(ce))
-			p.nodeCross[x] = append(p.nodeCross[x], ce)
-			p.nodeCross[y] = append(p.nodeCross[y], ce)
-		}
-		for _, slot := range p.shards {
-			slot.work = make(chan shardJob)
-			go commitLoop(slot.work)
-		}
+	p.nodeCross = make([][]int32, p.g.N())
+	p.crossMark = make([]bool, p.g.M())
+	for _, ce := range p.crossing {
+		x, y := p.g.Endpoints(int(ce))
+		p.nodeCross[x] = append(p.nodeCross[x], ce)
+		p.nodeCross[y] = append(p.nodeCross[y], ce)
+	}
+	for _, slot := range p.shards {
+		slot.work = make(chan shardJob)
+		go commitLoop(slot.work)
 	}
 }
 
@@ -488,7 +476,6 @@ func (p *Pool) spawn(slot *shardSlot, startEmpty bool) {
 		MaxRetries: p.opts.MaxRetries,
 		StartEmpty: startEmpty,
 		Workers:    p.opts.Workers,
-		Backend:    p.opts.Backend,
 		// Histograms only — no event ring: shard applies run in parallel,
 		// so the pool derives shard events itself in its serialized
 		// phases (see Options.Telemetry).
@@ -676,9 +663,9 @@ func (p *Pool) route(b dynamic.Batch, rep *Report) {
 	}
 }
 
-// commitShards runs every up shard's local batch — through the per-shard
-// pipelines (concurrently, no pool lock) or inline in ascending shard
-// order under Options.Serial — and reports which shards were lost to a
+// commitShards runs every up shard's local batch through the per-shard
+// pipelines (concurrently, no pool lock) and reports which shards were
+// lost to a
 // panic, plus each survivor's ApplyReport (the raw material the barrier
 // replays into shard events, in shard order). Every up shard applies
 // even an empty batch: that is what advances its audit cadence and its
@@ -688,22 +675,6 @@ func (p *Pool) route(b dynamic.Batch, rep *Report) {
 func (p *Pool) commitShards(jobs int) ([]bool, []dynamic.ApplyReport) {
 	crashed := make([]bool, len(p.shards))
 	reps := make([]dynamic.ApplyReport, len(p.shards))
-	if p.opts.Serial {
-		for _, slot := range p.shards {
-			if !slot.up {
-				continue
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						crashed[slot.id] = true
-					}
-				}()
-				reps[slot.id] = slot.mt.Apply(slot.batch)
-			}()
-		}
-		return crashed, reps
-	}
 	if p.tel != nil {
 		p.tel.queueDepth.Set(int64(jobs))
 	}
@@ -947,10 +918,7 @@ func (p *Pool) Close() {
 			slot.mt = nil
 			slot.up = false
 		}
-		if slot.work != nil {
-			close(slot.work)
-			slot.work = nil
-		}
+		close(slot.work)
 	}
 	p.resolver.Close()
 }

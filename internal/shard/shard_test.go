@@ -225,7 +225,7 @@ func exactMaximum(g *graph.Graph) int {
 }
 
 // TestPoolMatchesHistory replays one update history on two pools (same
-// options) and on different worker counts and backends: the composed
+// options) and on different worker counts: the composed
 // matching and every report flag must be bit-identical step for step.
 func TestPoolMatchesHistory(t *testing.T) {
 	g := testSlab(11, 12, 12, 0.35)
@@ -246,7 +246,6 @@ func TestPoolMatchesHistory(t *testing.T) {
 	want := history(base)
 	for _, opts := range []Options{
 		{Shards: 4, K: 2, Seed: 9, StartEmpty: true, AuditEvery: 5, Workers: 4},
-		{Shards: 4, K: 2, Seed: 9, StartEmpty: true, AuditEvery: 5, Backend: 2},
 	} {
 		got := history(opts)
 		for i := range want {

@@ -16,8 +16,8 @@
 //     audit verdicts, warm/cold repairs, shard kills and restarts, fault
 //     injections, crossing-edge resolutions — stamped with the emitting
 //     layer's slot/step clock, never wall time. A seeded chaos schedule
-//     therefore replays with a bit-identical event stream across engine
-//     backends and worker counts (chaos.RunShards asserts exactly this),
+//     therefore replays with a bit-identical event stream across replays
+//     and worker counts (chaos.RunShards asserts exactly this),
 //     which makes the trace itself a correctness artifact, not just a
 //     debugging aid.
 //
