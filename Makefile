@@ -31,15 +31,14 @@ bench:
 bench-baseline:
 	./scripts/bench_baseline.sh
 
-# bench-compare records coroutine-vs-flat backend node-rounds/s per
-# protocol — including the core Algorithm 3-5 pipeline and the PR-7
-# strict-CONGEST/LOCAL ports — plus the Config.Workers scaling sweep,
-# the workers×topology grid, the batch-runner amortization pair, the
-# dynamic-maintainer incremental-vs-recompute switch pair, the sharded
-# serving group and the telemetry-overhead group into BENCH_pr9.json
-# (set BENCHTIME=3s and COUNT=5 for stabler numbers).
+# bench-compare records per-protocol node-rounds/s, the Config.Workers
+# scaling sweep, the workers×topology grid, the batch-runner amortization
+# pair, the dynamic-maintainer pairs, the sharded serving group and the
+# telemetry-overhead group into the file named by OUT, e.g.
+# `make bench-compare OUT=BENCH_next.json` (set BENCHTIME=3s and COUNT=5
+# for stabler numbers).
 bench-compare:
-	./scripts/bench_compare.sh
+	./scripts/bench_compare.sh $(OUT)
 
 # telemetry-smoke boots a real distmatchd (serving + debug listeners),
 # drives applies through a shard kill/restart, and asserts /metrics

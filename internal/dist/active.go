@@ -146,8 +146,8 @@ func (e *engine) planSweep() {
 }
 
 // forEachActive visits every node of the current run in increasing id
-// order — the cold-path twin of the worker sweeps (reset, abortLive,
-// RunFlat factories).
+// order — the cold-path twin of the worker sweeps (reset, RunFlat
+// factories).
 func (e *engine) forEachActive(f func(nd *Node)) {
 	switch e.sweep {
 	case sweepList:

@@ -624,7 +624,6 @@ func (e *engine) loop() {
 		e.roundIdx++
 		agg := e.combine()
 		if agg.panicID != -1 {
-			e.abortLive()
 			panic(agg.panicVal)
 		}
 		live -= agg.done
@@ -640,7 +639,6 @@ func (e *engine) loop() {
 		if (agg.orCnt != 0 || agg.maxCnt != 0) &&
 			(agg.orCnt != agg.parked || agg.maxCnt != 0) &&
 			(agg.maxCnt != agg.parked || agg.orCnt != 0) {
-			e.abortLive()
 			panic("dist: protocol desync: continuing nodes submitted to different oracles (or only some submitted) in the same round")
 		}
 		e.stats.Rounds++
@@ -667,7 +665,6 @@ func (e *engine) loop() {
 		}
 		e.cur, e.nxt = e.nxt, e.cur
 		if e.cfg.MaxRounds > 0 && e.stats.Rounds > e.cfg.MaxRounds && live > 0 {
-			e.abortLive()
 			panic(fmt.Sprintf("dist: run exceeded Config.MaxRounds=%d with %d nodes still running",
 				e.cfg.MaxRounds, live))
 		}
@@ -715,18 +712,11 @@ func (e *engine) combine() worker {
 	return agg
 }
 
-// abortLive cancels every still-running node program of the current run
-// (only the run's active nodes ever started one). There is no suspended
-// stack to unwind: marking the nodes done is the whole job.
-func (e *engine) abortLive() {
-	state := e.state
-	e.forEachActive(func(nd *Node) { state[nd.id] |= stDone })
-}
-
-// close cancels any remaining programs, releases the workers, and
-// recycles the engine's slab bundle (see slabs.go).
+// close releases the workers and recycles the engine's slab bundle (see
+// slabs.go). An aborted run needs no other cleanup: its programs hold no
+// engine resources, and a Runner's next reset rewinds whatever state the
+// run left behind.
 func (e *engine) close() {
-	e.abortLive()
 	for _, ch := range e.dispatch {
 		close(ch)
 	}

@@ -208,8 +208,8 @@ func (p *InjectedPanic) Error() string {
 // preceding sweep e.roundIdx and returns the number of run participants
 // it crashed. Runs on the engine goroutine between rounds, so every
 // worker observes the same pre-sweep state. An injected panic aborts
-// the run like a program panic (the caller's deferred abortLive makes the
-// slab reusable either way).
+// the run like a program panic; a Runner's next reset makes the slab
+// reusable either way.
 func (e *engine) applyFaults() int {
 	killed := 0
 	evs := e.faults.events
@@ -227,7 +227,6 @@ func (e *engine) applyFaults() int {
 			if e.state[ev.Node]&stDone != 0 || !e.nodeInRun(int32(ev.Node)) {
 				continue // target not running: the panic has no stack to fire on
 			}
-			e.abortLive()
 			panic(&InjectedPanic{Node: ev.Node, Round: e.roundIdx})
 		}
 	}

@@ -33,8 +33,7 @@ func TestFlatStatsAccounting(t *testing.T) {
 // TestFlatEquivalentToCoroutine runs one engine-level program — sends,
 // plain rounds, an OR round and a max round, staggered completion — at
 // several worker counts and requires identical per-node transcripts and
-// the hand-derived Stats every form of the program (including the retired
-// blocking one) produces.
+// the hand-derived Stats.
 func TestFlatEquivalentToCoroutine(t *testing.T) {
 	g := ring(257)
 	const rounds = 6

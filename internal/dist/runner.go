@@ -47,7 +47,6 @@ func (r *Runner) RunFlat(seed uint64, factory func(nd *Node) RoundProgram) *Stat
 	defer func() { tel.record(tstart, &st, completed) }()
 	e.reset(seed)
 	e.forEachActive(func(nd *Node) { e.progs[nd.id] = factory(nd) })
-	defer e.abortLive()
 	e.loop()
 	st = e.stats
 	completed = true

@@ -1,55 +1,52 @@
 #!/usr/bin/env bash
-# Records the backend and batching comparisons into BENCH_pr9.json:
-# node-rounds/s per protocol per backend with the flat/coro speedup —
-# now including the last two coroutine-only algorithms ported to flat
-# form in PR 7 (the Lemma 3.7 strict-CONGEST chunk pipeline and the
-# LOCAL-model generic algorithm) — plus the multi-worker scaling sweep
-# (Config.Workers in {1,2,4,8,16}), the new workers × topology grid
+# Records the engine and serving microbenchmarks into the JSON file named
+# by its argument: node-rounds/s per protocol, the multi-worker scaling
+# sweep (Config.Workers in {1,2,4,8,16}), the workers × topology grid
 # (4-regular / dense G(n,m) / irregular G(n,p) / star hub at workers
 # {1,2,4,8}), the batch-runner amortization pair, the dynamic-maintainer
-# switch pair, the PR-5 active-set region-repair pair — and the PR-8
-# sharded-serving group: one churn slot through the 4-shard
-# fault-tolerant Pool vs the same stream through one unsharded
-# Maintainer (the price of the failure-domain boundary), plus the
-# flagged query path — and the PR-9 telemetry_overhead group: the flat
-# engine sweep and the pool apply path rerun with a live telemetry
-# registry (counters, histograms, per-shard gauges, event ring), pricing
-# the instrumentation against the <2% acceptance bound. Extends the
-# BENCH trajectory (BENCH_baseline.json, BENCH_pr2.json, BENCH_pr3.json,
-# BENCH_pr4.json, BENCH_pr5.json, BENCH_pr7.json, BENCH_pr8.json).
+# switch and region pairs, the sharded-serving group (one churn slot
+# through the 4-shard Pool, sequential and with contending callers, vs
+# the same stream through one Maintainer, plus the flagged query path)
+# and the telemetry-overhead group (the engine sweep and the pool apply
+# path rerun with a live telemetry registry). Earlier records:
+# BENCH_baseline.json and BENCH_pr2.json through BENCH_pr10.json.
 #
 # The recording host is a single shared vCPU whose throughput swings by
 # ±25% over minutes, so each benchmark runs COUNT times and the maximum
 # rate is recorded: the max estimates uncontended-hardware throughput,
 # which is the number comparable across PRs. Raise COUNT (and BENCHTIME)
 # for stabler numbers.
-# Run from the repository root: ./scripts/bench_compare.sh
+# Run from the repository root: ./scripts/bench_compare.sh OUT.json
 set -euo pipefail
 
+if [ $# -ne 1 ]; then
+	echo "usage: $0 OUT.json" >&2
+	exit 2
+fi
+out=$(realpath -m "$1")
 cd "$(dirname "$0")/.."
-out=BENCH_pr9.json
 benchtime=${BENCHTIME:-1s}
 count=${COUNT:-3}
 
-# The pairs and the sweeps run as separate invocations: a "/" in a
+# The protocols and the sweeps run as separate invocations: a "/" in a
 # -bench alternation would be treated as a sub-benchmark separator.
 # The amortization/maintenance pairs get a process of their own — the
 # LOCAL-model generic pair retires hundreds of MB of map garbage, and
 # sharing its heap skews the GC pacing of whatever runs next.
 raw=$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
-	-bench '^(BenchmarkEngineRound|BenchmarkEngineRoundFlat|BenchmarkAlgIsraeliItai|BenchmarkAlgIsraeliItaiCoro|BenchmarkAlgMIS|BenchmarkAlgMISCoro|BenchmarkAlgLPRQuarter|BenchmarkAlgLPRQuarterCoro|BenchmarkAlgBipartiteMCM|BenchmarkAlgBipartiteMCMCoro|BenchmarkAlgGeneralMCM|BenchmarkAlgGeneralMCMCoro|BenchmarkAlgWeightedMWM|BenchmarkAlgWeightedMWMCoro|BenchmarkAlgLocalGreedy|BenchmarkAlgLocalGreedyCoro|BenchmarkAlgBipartiteStrict|BenchmarkAlgBipartiteStrictCoro|BenchmarkAlgGenericMCM|BenchmarkAlgGenericMCMCoro)$' \
+	-bench '^(BenchmarkEngineRoundFlat|BenchmarkAlgIsraeliItai|BenchmarkAlgMIS|BenchmarkAlgLPRQuarter|BenchmarkAlgBipartiteMCM|BenchmarkAlgGeneralMCM|BenchmarkAlgWeightedMWM|BenchmarkAlgLocalGreedy|BenchmarkAlgBipartiteStrict|BenchmarkAlgGenericMCM)$' \
 	. 2>&1)
 raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 	-bench '^(BenchmarkRunnerShortFresh|BenchmarkRunnerShortReuse|BenchmarkDynamicSwitchIncremental|BenchmarkDynamicSwitchRecompute|BenchmarkDynamicRegionRepairActive|BenchmarkDynamicRegionRepairFullSweep)$' \
 	. 2>&1)
 raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
-	-bench '^(BenchmarkShardServingPoolApply|BenchmarkShardServingSingleApply|BenchmarkShardServingQuery)$' \
+	-bench '^(BenchmarkShardServingPoolApply|BenchmarkShardServingPoolApplyConcurrent|BenchmarkShardServingSingleApply|BenchmarkShardServingQuery)$' \
 	. 2>&1)
 raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 	-bench '^(BenchmarkEngineRoundFlatTelemetry|BenchmarkShardServingSingleApplyTelemetry|BenchmarkShardServingPoolApplyTelemetry)$' \
 	. 2>&1)
 raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
-	-bench '^(BenchmarkEngineRoundWorkers|BenchmarkEngineRoundFlatWorkers)$/^w[0-9]+$' \
+	-bench '^BenchmarkEngineRoundFlatWorkers$/^w[0-9]+$' \
 	. 2>&1)
 raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 	-bench '^BenchmarkEngineRoundFlatTopo$' \
@@ -63,8 +60,8 @@ raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 	echo '  "cpu": "'"$(printf '%s\n' "$raw" | sed -n 's/^cpu: //p' | head -1)"'",'
 	echo '  "benchtime": "'"$benchtime"'",'
 	echo '  "count": '"$count"','
-	echo '  "metric": "node-rounds/s (pairs/scaling/topo), ns/slot (dynamic); best of count runs",'
-	echo '  "note": "coroutine vs flat execution backend; bit-identical outputs (differential suites in internal/core, internal/lpr, internal/israeliitai, internal/mis). BipartiteStrict (Lemma 3.7 B-bit chunk pipelining, B=8) and GenericMCM (LOCAL-model floods) are the PR-7 flat ports: the strict pair is sub-round dense so the backend tax dominates; the generic pair is dominated by per-message map merging, so the backends tie — an honest bound on what backend work can buy. scaling sweeps Config.Workers on both backends; topo_scaling sweeps the flat backend across message patterns (uniform 4-regular, dense gnm16, irregular gnp8, star hub). The host is a single vCPU: one worker is the knee, and every multi-worker point prices the staged-mode delivery pass plus dispatch overhead rather than real parallelism — except the star row, where the hub cost is serial in any schedule. runner_short compares fresh-engine vs dist.Runner setup amortization on an 8-round 256-node run; PR 7 closed this gap (2.9x in BENCH_pr5 to ~1x) by recycling engine slabs through a process-wide pool (see internal/dist/slabs.go). dynamic_switch and dynamic_region are the PR-4/PR-5 maintenance pairs, unchanged. shard_serving is the PR-8 group: one 4-toggle churn slot on a 512+512 slab through the 4-shard fault-tolerant Pool (routing, 4 parallel shard engines, crossing resolution, periodic conflict audit) vs the identical stream through one unsharded Maintainer; overhead_x = pool/single is the price of the failure-domain boundary, and query_ns prices one flagged read off the pool snapshot cache. telemetry_overhead is the PR-9 group: the flat engine sweep, the unsharded Maintainer slot and the pool apply slot rerun with a live telemetry registry installed (engine: process-wide counters + sweep histogram; maintainer: apply/repair/audit histograms + event ring; pool: all of that plus per-shard gauges and pool events). engine_overhead_x = bare/instrumented node-rounds/s; maintainer_overhead_x and pool_overhead_x = instrumented/bare ns per slot; all expected within noise of 1.0 and bounded by the <2% acceptance criterion.",'
+	echo '  "metric": "node-rounds/s (protocols/scaling/topo), ns/slot (dynamic, shard_serving); best of count runs",'
+	echo '  "note": "protocols are the per-algorithm node-rounds/s of the state-machine engine (EngineRound is the bare 64-round beacon). scaling sweeps Config.Workers; topo_scaling crosses it with message patterns (uniform 4-regular, dense gnm16, irregular gnp8, star hub). On a single vCPU one worker is the knee, and every multi-worker point prices the staged-mode delivery pass plus dispatch overhead rather than real parallelism. runner_short compares fresh-engine vs dist.Runner setup on an 8-round 256-node run. dynamic_switch and dynamic_region are the maintenance pairs. shard_serving prices one 4-toggle churn slot on a 512+512 slab through the 4-shard Pool (pool_ns_per_slot sequential, concurrent_ns_per_slot with parallel callers contending on the slot lock) vs one unsharded Maintainer (overhead_x = pool/single), and query_ns one flagged read off the pool snapshot. telemetry_overhead reruns the engine sweep, the Maintainer slot and the pool slot with a live telemetry registry; all overhead_x values are expected within noise of 1.0.",'
 	printf '%s\n' "$raw" | awk '
 		/^Benchmark/ {
 			name=$1; sub(/-[0-9]+$/, "", name)
@@ -76,28 +73,11 @@ raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 			if (ns[name] == 0 || (nspop > 0 && nspop < ns[name])) ns[name]=nspop
 		}
 		END {
-			pairs["EngineRound"]     = "BenchmarkEngineRound BenchmarkEngineRoundFlat"
-			pairs["IsraeliItai"]     = "BenchmarkAlgIsraeliItaiCoro BenchmarkAlgIsraeliItai"
-			pairs["MIS"]             = "BenchmarkAlgMISCoro BenchmarkAlgMIS"
-			pairs["LPRQuarter"]      = "BenchmarkAlgLPRQuarterCoro BenchmarkAlgLPRQuarter"
-			pairs["BipartiteMCM"]    = "BenchmarkAlgBipartiteMCMCoro BenchmarkAlgBipartiteMCM"
-			pairs["BipartiteStrict"] = "BenchmarkAlgBipartiteStrictCoro BenchmarkAlgBipartiteStrict"
-			pairs["GeneralMCM"]      = "BenchmarkAlgGeneralMCMCoro BenchmarkAlgGeneralMCM"
-			pairs["GenericMCM"]      = "BenchmarkAlgGenericMCMCoro BenchmarkAlgGenericMCM"
-			pairs["WeightedMWM"]     = "BenchmarkAlgWeightedMWMCoro BenchmarkAlgWeightedMWM"
-			pairs["LocalGreedy"]     = "BenchmarkAlgLocalGreedyCoro BenchmarkAlgLocalGreedy"
-			order[1]="EngineRound"; order[2]="IsraeliItai"; order[3]="MIS"; order[4]="LPRQuarter"
-			order[5]="BipartiteMCM"; order[6]="BipartiteStrict"; order[7]="GeneralMCM"
-			order[8]="GenericMCM"; order[9]="WeightedMWM"; order[10]="LocalGreedy"
-			np=10
-			printf "  \"pairs\": [\n"
-			for (k=1; k<=np; k++) {
-				p=order[k]
-				split(pairs[p], b, " ")
-				coro=rates[b[1]]+0; flat=rates[b[2]]+0
-				speedup = (coro > 0) ? flat/coro : 0
-				printf "    {\"name\": \"%s\", \"coro\": %.0f, \"flat\": %.0f, \"speedup\": %.2f}%s\n", \
-					p, coro, flat, speedup, (k<np ? "," : "")
+			nb=split("EngineRound:BenchmarkEngineRoundFlat IsraeliItai:BenchmarkAlgIsraeliItai MIS:BenchmarkAlgMIS LPRQuarter:BenchmarkAlgLPRQuarter BipartiteMCM:BenchmarkAlgBipartiteMCM BipartiteStrict:BenchmarkAlgBipartiteStrict GeneralMCM:BenchmarkAlgGeneralMCM GenericMCM:BenchmarkAlgGenericMCM WeightedMWM:BenchmarkAlgWeightedMWM LocalGreedy:BenchmarkAlgLocalGreedy", protos, " ")
+			printf "  \"protocols\": [\n"
+			for (k=1; k<=nb; k++) {
+				split(protos[k], kv, ":")
+				printf "    {\"name\": \"%s\", \"flat\": %.0f}%s\n", kv[1], rates[kv[2]]+0, (k<nb ? "," : "")
 			}
 			printf "  ],\n"
 			fresh=rates["BenchmarkRunnerShortFresh"]+0
@@ -113,12 +93,11 @@ raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 			printf "  \"dynamic_region\": {\"active_ns_per_slot\": %.0f, \"fullsweep_ns_per_slot\": %.0f, \"speedup\": %.2f},\n", \
 				ract, rfull, (ract > 0 ? rfull/ract : 0)
 			spool=ns["BenchmarkShardServingPoolApply"]+0
-			sserial=ns["BenchmarkShardServingPoolApplySerial"]+0
 			sconc=ns["BenchmarkShardServingPoolApplyConcurrent"]+0
 			ssingle=ns["BenchmarkShardServingSingleApply"]+0
 			squery=ns["BenchmarkShardServingQuery"]+0
-			printf "  \"shard_serving\": {\"pool_ns_per_slot\": %.0f, \"serial_ns_per_slot\": %.0f, \"concurrent_ns_per_slot\": %.0f, \"single_ns_per_slot\": %.0f, \"overhead_x\": %.2f, \"query_ns\": %.0f},\n", \
-				spool, sserial, sconc, ssingle, (ssingle > 0 ? spool/ssingle : 0), squery
+			printf "  \"shard_serving\": {\"pool_ns_per_slot\": %.0f, \"concurrent_ns_per_slot\": %.0f, \"single_ns_per_slot\": %.0f, \"overhead_x\": %.2f, \"query_ns\": %.0f},\n", \
+				spool, sconc, ssingle, (ssingle > 0 ? spool/ssingle : 0), squery
 			tflat=rates["BenchmarkEngineRoundFlatTelemetry"]+0
 			bflat=rates["BenchmarkEngineRoundFlat"]+0
 			tsingle=ns["BenchmarkShardServingSingleApplyTelemetry"]+0
@@ -129,10 +108,9 @@ raw+=$'\n'$(go test -run '^$' -benchtime "$benchtime" -count "$count" \
 			nw=split("1 2 4 8 16", ws, " ")
 			for (k=1; k<=nw; k++) {
 				w=ws[k]
-				coro=rates["BenchmarkEngineRoundWorkers/w" w]+0
 				flat=rates["BenchmarkEngineRoundFlatWorkers/w" w]+0
-				printf "    {\"workers\": %s, \"coro\": %.0f, \"flat\": %.0f}%s\n", \
-					w, coro, flat, (k<nw ? "," : "")
+				printf "    {\"workers\": %s, \"flat\": %.0f}%s\n", \
+					w, flat, (k<nw ? "," : "")
 			}
 			printf "  ],\n"
 			printf "  \"topo_scaling\": [\n"
