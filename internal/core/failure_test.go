@@ -1,6 +1,6 @@
 package core
 
-// Failure-injection tests: the §3.2 machinery carries three load-bearing
+// Failure-injection tests: the §3.2 machinery carries four load-bearing
 // invariants that the machines assert at runtime —
 //
 //  1. token staggering: tokens visit a node in exactly one round
@@ -8,7 +8,8 @@ package core
 //     augmentations would not be disjoint);
 //  2. commit routing: a commit wave may only retrace the recorded winning
 //     token's route;
-//  3. BFS direction: an X node only ever hears a count from its mate.
+//  3. BFS direction: an X node only ever hears a count from its mate;
+//  4. leaders only launch tokens: a free Y leader never receives one.
 //
 // These tests deliberately break each invariant, on both the plain
 // machines (flat.go) and their strict-CONGEST twins (flat_strict.go), and
@@ -33,8 +34,8 @@ type phaseKit struct {
 	token  func(env *phaseEnv, bfs *bfsResult, ell int) dist.Machine
 	commit func(env *phaseEnv, rec *tokenRecord, ell int) dist.Machine
 	aug    func(env *phaseEnv, ell int) dist.Machine
-	// forge is a one-message count (kind 0) or commit (kind 2) in this
-	// form's wire format.
+	// forge is a one-message count (kind 0), token (kind 1) or commit
+	// (kind 2) in this form's wire format.
 	forge func(kind uint8, value int32) dist.Message
 }
 
@@ -64,8 +65,11 @@ func phaseKits(g *graph.Graph) []phaseKit {
 				return m
 			},
 			forge: func(kind uint8, value int32) dist.Message {
-				if kind == 0 {
+				switch kind {
+				case 0:
 					return cnt(value)
+				case 1:
+					return token{val: 0.5, leader: value, bits: 8}
 				}
 				return commit{leader: value, nbits: 4}
 			},
@@ -260,6 +264,39 @@ func TestCountingRejectsNonMateMessageToX(t *testing.T) {
 			})
 		})
 	}
+}
+
+func TestLeaderNeverReceivesToken(t *testing.T) {
+	// A leader at BFS distance 1 launches in the last of 3 token rounds; a
+	// rogue token reaching it earlier must trip the launch assertion.
+	g := oneEdge()
+	for _, kit := range phaseKits(g) {
+		mustPanicWith(t, kit.name, "leader also received a token", func() {
+			dist.RunFlat(g, dist.Config{Seed: 4}, func(nd *dist.Node) dist.RoundProgram {
+				if nd.ID() == 0 {
+					return forger{kit.forge(1, 0)}
+				}
+				env := nodeEnv(nd, graph.NewMatching(2))
+				bfs := &bfsResult{visited: true, dist: 1, counts: []float64{1}, total: 1, leader: true}
+				return dist.AsProgram(kit.token(env, bfs, 3), nil)
+			})
+		})
+	}
+}
+
+func TestStrictRejectsForeignChunkKind(t *testing.T) {
+	// A strict window reassembles one kind of value; a chunk of another
+	// kind arriving mid-window is a schedule violation.
+	g := oneEdge()
+	mustPanicWith(t, "strict", "strict mode received kind 2 during kind 0 window", func() {
+		dist.RunFlat(g, dist.Config{Seed: 5}, func(nd *dist.Node) dist.RoundProgram {
+			if nd.ID() == 0 {
+				return forger{chunk{payload: 1, bits: 1, kind: 2}}
+			}
+			bfs, _ := phaseKits(g)[1].bfs(nodeEnv(nd, graph.NewMatching(2)), 1)
+			return dist.AsProgram(bfs, nil)
+		})
+	})
 }
 
 func panicText(v any) string {
