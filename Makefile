@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race tier1 bench bench-engine bench-baseline bench-compare telemetry-smoke loadtest loadtest-smoke profile clean
+.PHONY: all build test vet race tier1 bench bench-engine bench-compare telemetry-smoke loadtest loadtest-smoke profile clean
 
 all: tier1
 
@@ -25,11 +25,6 @@ bench-engine:
 
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .
-
-# bench-baseline records the full benchmark suite into BENCH_baseline.json
-# so future performance PRs have a trajectory to compare against.
-bench-baseline:
-	./scripts/bench_baseline.sh
 
 # bench-compare records per-protocol node-rounds/s, the Config.Workers
 # scaling sweep, the workers×topology grid, the batch-runner amortization

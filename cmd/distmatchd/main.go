@@ -14,10 +14,12 @@
 //	                             optional "client"/"seq" make the apply
 //	                             exactly-once: retrying the same (client, seq)
 //	                             after a 503 timeout returns the cached report
-//	                             with "duplicate":true instead of re-applying
+//	                             with "duplicate":true instead of re-applying;
+//	                             bodies over 1 MiB get 413, client ids over
+//	                             256 bytes 400
 //	GET  /v1/matching            composed matching + degraded/stale/certified flags
 //	GET  /v1/health              200 fresh / 503 degraded, per-shard detail
-//	GET  /v1/stats               lifetime pool counters
+//	GET  /v1/stats               lifetime pool counters, per-shard certificate counts
 //	POST /v1/shards/{id}/kill    take a shard down (auto-restarts after backoff)
 //	POST /v1/shards/{id}/restart force a cold rebuild now
 //	GET  /v1/events              newest structured trace records (?n=, default 64)
@@ -54,6 +56,8 @@
 //	pool_resolver_rounds_total,
 //	pool_resolver_messages_total                      cross-shard communication (audits + repairs)
 //	pool_step, pool_degraded, pool_certified          serving state gauges
+//	pool_pinned_nodes                                 nodes pinned out of their shard's view
+//	                                                  (matched over a crossing edge)
 //	shard_up{shard="N"}, shard_health{shard="N"},
 //	shard_backoff_slots{shard="N"},
 //	shard_restarts{shard="N"}                         per-shard supervisor gauges

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -133,6 +134,15 @@ type applyRequest struct {
 	Seq     uint64       `json:"seq,omitempty"`
 }
 
+// Apply input bounds: a request body over maxApplyBody bytes is answered
+// 413 before it is decoded, and a client id over maxClientID bytes 400 —
+// the pool keeps one idempotency record per client id, so an unbounded
+// id would be unbounded memory.
+const (
+	maxApplyBody = 1 << 20
+	maxClientID  = 256
+)
+
 type updateJSON struct {
 	Edge   int     `json:"edge"`
 	Op     string  `json:"op"` // insert | delete | setweight
@@ -175,10 +185,18 @@ func toReportJSON(rep shard.Report) reportJSON {
 
 func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 	var req applyRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxApplyBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "apply body over %d bytes", maxApplyBody)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "bad apply body: %v", err)
+		return
+	}
+	if len(req.Client) > maxClientID {
+		httpError(w, http.StatusBadRequest, "client id of %d bytes over the %d-byte limit", len(req.Client), maxClientID)
 		return
 	}
 	m := s.pool.Graph().M()
@@ -263,16 +281,20 @@ type shardStatus struct {
 	InternalEdges int    `json:"internal_edges"`
 }
 
+func toShardStatus(id int, sh shard.ShardStatus) shardStatus {
+	return shardStatus{
+		ID: id, Health: sh.Health.String(), Up: sh.Up,
+		Restarts: sh.Restarts, Backoff: sh.Backoff, WakeAt: sh.WakeAt,
+		Nodes: sh.Nodes, InternalEdges: sh.InternalEdges,
+	}
+}
+
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	q := s.pool.Query()
 	st := s.pool.Status()
 	resp := healthResponse{Degraded: q.Degraded, Certified: q.Certified, Step: q.Step}
 	for id, sh := range st {
-		resp.Shards = append(resp.Shards, shardStatus{
-			ID: id, Health: sh.Health.String(), Up: sh.Up,
-			Restarts: sh.Restarts, Backoff: sh.Backoff, WakeAt: sh.WakeAt,
-			Nodes: sh.Nodes, InternalEdges: sh.InternalEdges,
-		})
+		resp.Shards = append(resp.Shards, toShardStatus(id, sh))
 	}
 	code := http.StatusOK
 	if q.Degraded {
@@ -288,12 +310,21 @@ type statsResponse struct {
 	Totals shard.Stats `json:"totals"`
 	// Nodes and Edges are the slab dimensions — what a load generator
 	// needs to synthesize valid updates without shipping the graph.
-	Nodes     int           `json:"nodes"`
-	Edges     int           `json:"edges"`
-	Step      int           `json:"step"`
-	Degraded  bool          `json:"degraded"`
-	Certified bool          `json:"certified"`
-	Shards    []shardStatus `json:"shards"`
+	Nodes     int          `json:"nodes"`
+	Edges     int          `json:"edges"`
+	Step      int          `json:"step"`
+	Degraded  bool         `json:"degraded"`
+	Certified bool         `json:"certified"`
+	Shards    []shardStats `json:"shards"`
+}
+
+// shardStats is the /v1/stats per-shard block: the health view plus the
+// shard Maintainer's certificate counts (current incarnation).
+type shardStats struct {
+	shardStatus
+	Audits        int `json:"audits"`
+	AuditFailures int `json:"audit_failures"`
+	Recomputes    int `json:"recomputes"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -304,10 +335,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Step: q.Step, Degraded: q.Degraded, Certified: q.Certified,
 	}
 	for id, sh := range s.pool.Status() {
-		resp.Shards = append(resp.Shards, shardStatus{
-			ID: id, Health: sh.Health.String(), Up: sh.Up,
-			Restarts: sh.Restarts, Backoff: sh.Backoff, WakeAt: sh.WakeAt,
-			Nodes: sh.Nodes, InternalEdges: sh.InternalEdges,
+		resp.Shards = append(resp.Shards, shardStats{
+			shardStatus: toShardStatus(id, sh),
+			Audits:      sh.Audits, AuditFailures: sh.AuditFailures, Recomputes: sh.Recomputes,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -101,6 +101,13 @@ func TestServerApplyAndMatching(t *testing.T) {
 	if len(st["shards"].([]any)) != 4 {
 		t.Fatalf("stats missing per-shard status: %v", st)
 	}
+	for _, sh := range st["shards"].([]any) {
+		for _, k := range []string{"audits", "audit_failures", "recomputes"} {
+			if _, ok := sh.(map[string]any)[k].(float64); !ok {
+				t.Fatalf("stats shard block missing %q: %v", k, sh)
+			}
+		}
+	}
 	if !st["certified"].(bool) {
 		t.Fatalf("stats not certified after quiet applies: %v", st)
 	}
@@ -244,8 +251,9 @@ func TestDebugHandler(t *testing.T) {
 	}
 }
 
-// TestServerRejectsBadInput pins the 400 paths: malformed JSON, unknown
-// fields, out-of-range edges, unknown ops.
+// TestServerRejectsBadInput pins the rejection paths: 400 for malformed
+// JSON, unknown fields, out-of-range edges, unknown ops and client ids
+// over 256 bytes; 413 for a body over 1 MiB.
 func TestServerRejectsBadInput(t *testing.T) {
 	pool, ts := testServer(t)
 	m := pool.Graph().M()
@@ -255,15 +263,26 @@ func TestServerRejectsBadInput(t *testing.T) {
 		fmt.Sprintf(`{"updates":[{"edge":%d,"op":"insert"}]}`, m),
 		`{"updates":[{"edge":-1,"op":"delete"}]}`,
 		`{"updates":[{"edge":0,"op":"upsert"}]}`,
+		fmt.Sprintf(`{"updates":[],"client":%q,"seq":1}`, strings.Repeat("c", maxClientID+1)),
 	} {
 		out := doJSON(t, "POST", ts.URL+"/v1/apply", body, http.StatusBadRequest)
 		if out["error"] == "" {
 			t.Fatalf("no error message for %q", body)
 		}
 	}
-	// Bad input never mutates: the pool still serves step 0.
+	// A body past the limit is refused before it is decoded: one valid
+	// update repeated until the array alone exceeds 1 MiB.
+	update := `{"edge":0,"op":"setweight","weight":1},`
+	huge := `{"updates":[` + strings.Repeat(update, maxApplyBody/len(update)+1) + `{"edge":0,"op":"insert"}]}`
+	if out := doJSON(t, "POST", ts.URL+"/v1/apply", huge, http.StatusRequestEntityTooLarge); out["error"] == "" {
+		t.Fatal("no error message for the oversized body")
+	}
+	// The bounds are exact: a 256-byte client id is accepted.
+	doJSON(t, "POST", ts.URL+"/v1/apply",
+		fmt.Sprintf(`{"updates":[],"client":%q,"seq":1}`, strings.Repeat("c", maxClientID)), http.StatusOK)
+	// Bad input never mutates: only the accepted apply advanced the pool.
 	q := doJSON(t, "GET", ts.URL+"/v1/matching", "", http.StatusOK)
-	if q["step"].(float64) != 0 {
+	if q["step"].(float64) != 1 {
 		t.Fatalf("rejected applies advanced the pool: %v", q)
 	}
 }

@@ -139,6 +139,15 @@ func (r *Runner) LiveEdgeCount() int {
 // overlay as a fresh immutable Graph on the same node ids — the form the
 // centralized exact references take for spot audits. O(n + m live edges).
 func (r *Runner) LiveSubgraph() *graph.Graph {
+	return r.Subgraph(r.check().liveEdge)
+}
+
+// Subgraph materializes the slab edges marked in live (nil = every edge)
+// with the current weight overlay as a fresh immutable Graph on the same
+// node ids. It is LiveSubgraph for a caller whose own liveness record
+// differs from the activation mask — a Maintainer that hides pinned
+// nodes from the engine but reports its full live subgraph. O(n + m).
+func (r *Runner) Subgraph(live []bool) *graph.Graph {
 	eng := r.check()
 	g := eng.g
 	b := graph.NewBuilder(g.N())
@@ -148,7 +157,7 @@ func (r *Runner) LiveSubgraph() *graph.Graph {
 		}
 	}
 	for e := 0; e < g.M(); e++ {
-		if eng.liveEdge != nil && !eng.liveEdge[e] {
+		if live != nil && !live[e] {
 			continue
 		}
 		u, v := g.Endpoints(e)

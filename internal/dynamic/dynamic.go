@@ -214,7 +214,8 @@ func (o Options) withDefaults() Options {
 type ApplyReport struct {
 	// Touched is the number of dirty nodes the batch produced (endpoints
 	// of edges whose liveness changed, plus endpoints freed by deleting
-	// a matched edge). Zero means the batch needed no repair.
+	// a matched edge), counting the pins released since the previous
+	// Apply (Maintainer.SetPinned). Zero means the batch needed no repair.
 	Touched int
 	// RegionNodes is the size of the repaired region (the whole graph
 	// when Recomputed).

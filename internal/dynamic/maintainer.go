@@ -35,9 +35,9 @@ type maintTel struct {
 // when done.
 //
 // Concurrency: mutators (Apply, Recompute, Audit, CrashNode, Restore,
-// Adopt, InjectFaults, Close) serialize on an internal write lock, and
-// the read surface (Matching, Health, Totals, Live, Weight, LiveGraph)
-// takes the corresponding read lock, so any number of serving goroutines
+// Adopt, SetPinned, InjectFaults, Close) serialize on an internal write
+// lock, and the read surface (Matching, Health, Totals, Live, Weight,
+// LiveGraph, Pinned, PinnedNodes) takes the corresponding read lock, so any number of serving goroutines
 // may query while another applies updates — the property the sharded
 // serving layer leans on. Matching results are immutable snapshots:
 // once returned, a *graph.Matching is never mutated.
@@ -63,6 +63,17 @@ type Maintainer struct {
 	// its position (-1 absent).
 	liveList []int32
 	livePos  []int32
+
+	// Pins (SetPinned): pinned marks the nodes matched outside this
+	// Maintainer — a shard pool's crossing matches — whose live edges
+	// are hidden from the engine view, so repairs, recomputes and audits
+	// see them isolated. live stays the mirror; the engine mask is live
+	// minus every edge with a pinned endpoint. pinned is allocated on the
+	// first pin; pinSeeds holds released pins until the next Apply seeds
+	// its repair with them.
+	pinned   []bool
+	pinCount int
+	pinSeeds []int32
 
 	// Scratch, reused across applies: the batch's dirty endpoints, the
 	// mate-closure member snapshot, and — in FullSweep mode only — a
@@ -230,11 +241,95 @@ func (mt *Maintainer) Matching() *graph.Matching {
 
 // LiveGraph materializes the current live subgraph (with current
 // weights) as a fresh immutable Graph on the slab's node ids — the form
-// the centralized exact references take for spot audits.
+// the centralized exact references take for spot audits. It reads the
+// liveness mirror, so pinned nodes keep their live edges here.
 func (mt *Maintainer) LiveGraph() *graph.Graph {
 	mt.mu.RLock()
 	defer mt.mu.RUnlock()
-	return mt.r.LiveSubgraph()
+	return mt.r.Subgraph(mt.live)
+}
+
+// SetPinned pins (on) or releases node v. A pinned node is matched
+// outside this Maintainer — a shard pool matched it over a crossing
+// edge — so its live edges leave the engine view: regional, warm and
+// cold repairs, Recompute and the certificate audit all see it
+// isolated, never count it as free and never match it. The certificate
+// therefore covers the live subgraph minus the pinned nodes. The
+// liveness mirror (Live, LiveGraph) is unaffected.
+//
+// Releasing a pin restores the node's live edges and seeds the next
+// Apply's repair with it, even when that batch is empty. A node may
+// never be pinned while this Maintainer's own matching covers it:
+// pinning a covered node is refused — SetPinned changes nothing and
+// returns false. Every other call returns true (pinning a pinned node
+// or releasing a free one is a no-op). Adopt and Restore release the
+// pins of every node their matching covers.
+func (mt *Maintainer) SetPinned(v int, on bool) bool {
+	if v < 0 || v >= mt.g.N() {
+		panic(fmt.Sprintf("dynamic: SetPinned(%d) outside slab [0,%d)", v, mt.g.N()))
+	}
+	mt.mu.Lock()
+	defer mt.mu.Unlock()
+	if on && mt.matchedEdge[v] >= 0 {
+		return false
+	}
+	mt.setPinLocked(v, on)
+	return true
+}
+
+// Pinned reports whether node v is pinned.
+func (mt *Maintainer) Pinned(v int) bool {
+	mt.mu.RLock()
+	defer mt.mu.RUnlock()
+	return mt.pinned != nil && mt.pinned[v]
+}
+
+// PinnedNodes returns the number of pinned nodes.
+func (mt *Maintainer) PinnedNodes() int {
+	mt.mu.RLock()
+	defer mt.mu.RUnlock()
+	return mt.pinCount
+}
+
+// setPinLocked flips v's pin and re-derives the engine liveness of its
+// live edges; a release queues v as a seed of the next repair. Callers
+// hold the write lock and have checked the never-pinned-and-matched
+// rule.
+func (mt *Maintainer) setPinLocked(v int, on bool) {
+	if mt.pinned == nil {
+		if !on {
+			return
+		}
+		mt.pinned = make([]bool, mt.g.N())
+	}
+	if mt.pinned[v] == on {
+		return
+	}
+	mt.pinned[v] = on
+	if on {
+		mt.pinCount++
+	} else {
+		mt.pinCount--
+		mt.pinSeeds = append(mt.pinSeeds, int32(v))
+	}
+	for p := 0; p < mt.g.Deg(v); p++ {
+		if e := mt.g.EdgeAt(v, p); mt.live[e] {
+			mt.r.SetEdgeLive(e, mt.engineLive(e))
+		}
+	}
+}
+
+// engineLive reports whether edge e belongs in the engine view: live in
+// the mirror with neither endpoint pinned.
+func (mt *Maintainer) engineLive(e int) bool {
+	if !mt.live[e] {
+		return false
+	}
+	if mt.pinned == nil {
+		return true
+	}
+	x, y := mt.g.Endpoints(e)
+	return !mt.pinned[x] && !mt.pinned[y]
 }
 
 // Apply applies one batch of updates and repairs the matching. The
@@ -267,7 +362,11 @@ func (mt *Maintainer) Apply(b Batch) ApplyReport {
 			panic(fmt.Sprintf("dynamic: unknown op %d", u.Op))
 		}
 	}
-	mt.dirty = mt.dirty[:0]
+	// Pins released since the last Apply seed this one's repair: the
+	// node re-entered the engine view and may now complete a short
+	// augmenting path.
+	mt.dirty = append(mt.dirty[:0], mt.pinSeeds...)
+	mt.pinSeeds = mt.pinSeeds[:0]
 	for _, u := range b {
 		switch u.Op {
 		case Insert:
@@ -276,7 +375,7 @@ func (mt *Maintainer) Apply(b Batch) ApplyReport {
 			}
 			if !mt.live[u.Edge] {
 				mt.live[u.Edge] = true
-				mt.r.SetEdgeLive(u.Edge, true)
+				mt.r.SetEdgeLive(u.Edge, mt.engineLive(u.Edge))
 				mt.markDirty(u.Edge, +1)
 			}
 		case Delete:
@@ -524,7 +623,7 @@ func (mt *Maintainer) Restore(live []bool, weights []float64, matched []int32) e
 	}
 	copy(mt.live, live)
 	for e := range live {
-		mt.r.SetEdgeLive(e, live[e])
+		mt.r.SetEdgeLive(e, mt.engineLive(e))
 		if weights != nil {
 			mt.r.SetEdgeWeight(e, weights[e])
 		}
@@ -564,10 +663,18 @@ func (mt *Maintainer) Adopt(matched []int32) error {
 	return nil
 }
 
-// adoptLocked installs a validated matching and resets the recovery
-// state to Recovering-until-audited. Callers hold mt.mu.
+// adoptLocked installs a validated matching, releases the pins of every
+// node it covers, and resets the recovery state to Recovering-until-
+// audited. Callers hold mt.mu.
 func (mt *Maintainer) adoptLocked(matched []int32) {
 	pre := mt.health
+	if mt.pinCount > 0 {
+		for v, e := range matched {
+			if e >= 0 {
+				mt.setPinLocked(v, false)
+			}
+		}
+	}
 	copy(mt.matchedEdge, matched)
 	mt.cached.Store(nil)
 	mt.gen++

@@ -17,12 +17,13 @@ func (p *Pool) markCross(e int32) {
 }
 
 // markNodeCross queues every crossing edge incident to v — called when
-// v's matched/free state changes, since that is the only way v can
-// block or unblock a crossing match.
+// v's composed entry changes, since that is the only way v can block or
+// unblock a crossing match — and v itself for the pin pass.
 func (p *Pool) markNodeCross(v int) {
 	for _, e := range p.nodeCross[v] {
 		p.markCross(e)
 	}
+	p.markPin(v)
 }
 
 // markAllCross queues the entire crossing set — the reset after a
@@ -181,6 +182,8 @@ func (p *Pool) resolveCrossing(rep *Report) {
 		}
 		if !claimed && p.live[e] && p.gmatch[x] < 0 && p.gmatch[y] < 0 {
 			p.gmatch[x], p.gmatch[y] = e, e
+			p.markPin(x)
+			p.markPin(y)
 			p.crossMatched++
 			p.totals.CrossingMatched++
 			newMatches++
@@ -199,8 +202,10 @@ func (p *Pool) resolveCrossing(rep *Report) {
 
 // pushFreed re-queues the crossing edges of node v, freed while the
 // pass stood at edge cur: ids past cur join this slot's heap, ids
-// before it carry to the next slot (see resolveCrossing).
+// before it carry to the next slot (see resolveCrossing). v itself joins
+// the pin pass.
 func (p *Pool) pushFreed(h []int32, v int, cur int32) []int32 {
+	p.markPin(v)
 	for _, f := range p.nodeCross[v] {
 		if f == cur || p.crossMark[f] {
 			continue
@@ -386,6 +391,13 @@ func (p *Pool) runAudit(rep *Report) {
 	p.certified = rep.CertificateOK
 	emitVerdict(false)
 	p.adoptBack(before, rep.Step)
+	// The repair may have moved any crossing match: resync every shard's
+	// pins — O(n), like the repair itself.
+	for _, slot := range p.shards {
+		if slot.up {
+			p.resyncPins(slot)
+		}
+	}
 }
 
 // probe runs the full-sweep Berge probe through the resolver runner.

@@ -155,6 +155,13 @@ type ShardStatus struct {
 	WakeAt        int // slot of the pending auto-restart (down shards)
 	Nodes         int // owned nodes
 	InternalEdges int // owned (internal) slab edges
+	// Audits, AuditFailures and Recomputes are the shard Maintainer's
+	// certificate counts (dynamic.Totals) as of the last barrier: the
+	// current incarnation's, frozen while down, restarted from zero by a
+	// rebuild.
+	Audits        int
+	AuditFailures int
+	Recomputes    int
 }
 
 // Stats aggregates a Pool's lifetime costs.
@@ -196,6 +203,14 @@ type shardSlot struct {
 	dirty bool          // served matching may have changed: recompose must rescan
 	batch dynamic.Batch // per-Apply routing buffer, reused
 	work  chan shardJob // commit pipeline feed
+
+	totals dynamic.Totals // the Maintainer's totals, captured in the barrier
+
+	// Pins (pins.go): pinDirty lists the owned nodes (global ids) whose
+	// composed entry changed this slot; pinStale records a refused pin,
+	// resynced once the shard is no longer Degraded.
+	pinDirty []int32
+	pinStale bool
 }
 
 // shardJob is one shard's share of an Apply slot, dispatched to its
@@ -267,6 +282,8 @@ type Pool struct {
 	crossHeap    []int32
 	crossMatched int
 
+	pinMark []bool // node queued on its shard's pinDirty list
+
 	shards []*shardSlot
 
 	// The pool's authoritative mirror: global liveness, weights (held by
@@ -332,6 +349,7 @@ func New(g *graph.Graph, opts Options) *Pool {
 		localEdge: make([]int32, g.M()),
 		live:      make([]bool, g.M()),
 		gmatch:    make([]int32, g.N()),
+		pinMark:   make([]bool, g.N()),
 		resolver:  dist.NewRunner(g, dist.Config{Workers: opts.Workers}),
 		seedBase:  rng.ForkSeed(opts.Seed, 0x9e3779b97f4a7c15),
 		clients:   make(map[string]*clientRec),
@@ -360,10 +378,14 @@ func New(g *graph.Graph, opts Options) *Pool {
 		if !opts.StartEmpty && slot.sub.M() > 0 {
 			slot.mt.Recompute()
 			slot.health = slot.mt.Health()
+			slot.totals = slot.mt.Totals()
 		}
 	}
 	if !opts.StartEmpty {
 		p.recompose(nil)
+		for _, slot := range p.shards {
+			p.resyncPins(slot)
+		}
 	}
 	p.publishLocked()
 	p.updateGauges()
@@ -562,11 +584,12 @@ func (p *Pool) apply(client string, seq uint64, b dynamic.Batch) Report {
 
 	// Phase 3 — the barrier: serialized observation in shard order
 	// (events replay deterministically), incremental recompose, the
-	// conflict audit when due, and the snapshot publish.
+	// conflict audit when due, the pin pass, and the snapshot publish.
 	p.mu.Lock()
 	p.observeHealth(crashed, reps, step, &rep)
 	p.recompose(&rep)
 	p.maybeAudit(&rep)
+	p.syncPins()
 	rep.Healths, rep.Down = p.healthsLocked()
 	rep.Degraded = p.degradedLocked()
 	p.publishLocked()
@@ -716,6 +739,7 @@ func (p *Pool) observeHealth(crashed []bool, reps []dynamic.ApplyReport, step in
 			if reps[s].Changed {
 				slot.dirty = true
 			}
+			slot.totals = slot.mt.Totals()
 			h := slot.mt.Health()
 			if !dynamic.ValidTransition(slot.health, h) {
 				lost = true
@@ -810,6 +834,9 @@ func (p *Pool) Status() []ShardStatus {
 			WakeAt:        slot.wakeAt,
 			Nodes:         len(slot.nodes),
 			InternalEdges: len(slot.edges),
+			Audits:        slot.totals.Audits,
+			AuditFailures: slot.totals.AuditFailures,
+			Recomputes:    slot.totals.Recomputes,
 		}
 	}
 	return out

@@ -176,6 +176,11 @@ func (p *Pool) rebuildLocked(slot *shardSlot, step int) {
 		// it is a bug, not a runtime condition.
 		panic(fmt.Sprintf("shard: rebuild of shard %d from the pool mirror failed: %v", slot.id, err))
 	}
+	// Re-install the shard's pins before its first commit: the restored
+	// restriction leaves every crossing-matched node free, so none is
+	// refused.
+	p.resyncPins(slot)
+	slot.totals = dynamic.Totals{}
 	slot.dirty = true
 	pre := slot.health
 	slot.health = slot.mt.Health()

@@ -40,6 +40,7 @@ type poolTel struct {
 	degraded   *telemetry.Gauge
 	certified  *telemetry.Gauge
 	queueDepth *telemetry.Gauge // shard commits in flight on the pipelines
+	pinned     *telemetry.Gauge // nodes pinned out of their shard's engine view
 
 	// Per-shard gauges, indexed by shard id (labels-in-name series).
 	up       []*telemetry.Gauge
@@ -71,6 +72,7 @@ func newPoolTel(reg *telemetry.Registry, shards int) *poolTel {
 		degraded:        reg.Gauge("pool_degraded", "1 while responses may be partial or stale"),
 		certified:       reg.Gauge("pool_certified", "1 while the composed matching is conflict-audited"),
 		queueDepth:      reg.Gauge("pool_apply_queue_depth", "shard commits in flight on the per-shard pipelines"),
+		pinned:          reg.Gauge("pool_pinned_nodes", "nodes pinned out of their shard's view (matched over a crossing edge)"),
 	}
 	for s := 0; s < shards; s++ {
 		t.up = append(t.up, reg.Gauge(fmt.Sprintf(`shard_up{shard="%d"}`, s), "1 while the shard serves"))
@@ -123,12 +125,17 @@ func (p *Pool) updateGauges() {
 	p.tel.step.Set(int64(p.step))
 	p.tel.degraded.Set(b2i(p.degradedLocked()))
 	p.tel.certified.Set(b2i(p.certified))
+	pinned := 0
 	for s, slot := range p.shards {
+		if slot.up {
+			pinned += slot.mt.PinnedNodes()
+		}
 		p.tel.up[s].Set(b2i(slot.up))
 		p.tel.health[s].Set(int64(slot.health))
 		p.tel.backoff[s].Set(int64(slot.backoff))
 		p.tel.restarts[s].Set(int64(slot.restarts))
 	}
+	p.tel.pinned.Set(int64(pinned))
 }
 
 func b2i(v bool) int64 {
