@@ -188,7 +188,7 @@ func TestServerTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("/metrics exposition invalid: (%d, %v)\n%s", n, err, text)
 	}
 	for _, series := range []string{
-		"pool_step ", `shard_up{shard="1"}`, "pool_apply_ns_count",
+		"pool_step ", "pool_pinned_nodes ", `shard_up{shard="1"}`, "pool_apply_ns_count",
 		`http_request_ns_count{route="/v1/apply"}`,
 		`http_requests_total{route="/v1/shards/{id}/kill",code="200"}`,
 	} {

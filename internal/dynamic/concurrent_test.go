@@ -12,8 +12,9 @@ import (
 )
 
 // TestConcurrentReadsDuringChurn hammers the whole read surface —
-// Matching, Health, Totals, Live, Weight, LiveGraph — from several
-// goroutines while Apply churns the topology, under the race detector.
+// Matching, Health, Totals, Live, Weight, LiveGraph, Pinned,
+// PinnedNodes — from several goroutines while Apply churns the topology
+// and SetPinned pins and releases nodes, under the race detector.
 // This is the contract the sharded serving layer needs: a query must
 // never block behind a repair longer than the lock hand-off, and every
 // snapshot it sees must be internally consistent (a valid matching on
@@ -60,6 +61,11 @@ func TestConcurrentReadsDuringChurn(t *testing.T) {
 					t.Errorf("reader %d: live graph grew beyond the slab", w)
 					return
 				}
+				mt.Pinned(w % g.N())
+				if n := mt.PinnedNodes(); n < 0 || n > g.N() {
+					t.Errorf("reader %d: impossible pin count %d", w, n)
+					return
+				}
 				reads.Add(1)
 			}
 		}(w)
@@ -67,6 +73,7 @@ func TestConcurrentReadsDuringChurn(t *testing.T) {
 
 	r := rng.New(17)
 	for step := 0; step < 150; step++ {
+		mt.SetPinned(step%g.N(), step%3 == 0)
 		mt.Apply(randomBatch(r, mt, 4))
 	}
 	// On one core the churn loop can finish inside a single scheduler

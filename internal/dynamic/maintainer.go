@@ -37,9 +37,9 @@ type maintTel struct {
 // Concurrency: mutators (Apply, Recompute, Audit, CrashNode, Restore,
 // Adopt, SetPinned, InjectFaults, Close) serialize on an internal write
 // lock, and the read surface (Matching, Health, Totals, Live, Weight,
-// LiveGraph, Pinned, PinnedNodes) takes the corresponding read lock, so any number of serving goroutines
-// may query while another applies updates — the property the sharded
-// serving layer leans on. Matching results are immutable snapshots:
+// LiveGraph, Pinned, PinnedNodes) takes the corresponding read lock, so
+// any number of serving goroutines may query while another applies
+// updates — the property the sharded serving layer leans on. Matching results are immutable snapshots:
 // once returned, a *graph.Matching is never mutated.
 type Maintainer struct {
 	g    *graph.Graph

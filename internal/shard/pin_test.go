@@ -225,7 +225,9 @@ func TestPoolRestartReinstallsPins(t *testing.T) {
 // consistent partial output covers nodes the snapshot leaves free, and
 // crossing inserts let the pool match one of them across. The pin is
 // refused without a panic, the composed matching stays valid, and once
-// the fault is disarmed and the shard leaves Degraded its pins resync.
+// the fault is disarmed and the shard leaves Degraded its pins resync —
+// with another shard held down, so no pool audit repair (which resyncs
+// every shard) can do it instead.
 func TestPoolPinRefusalResyncs(t *testing.T) {
 	for seed := uint64(1); seed <= 400; seed++ {
 		if pinRefusalSchedule(t, seed) {
@@ -239,7 +241,7 @@ func TestPoolPinRefusalResyncs(t *testing.T) {
 // a refused pin (checking the recovery when it did).
 func pinRefusalSchedule(t *testing.T, seed uint64) bool {
 	g := testSlab(seed, 16, 16, 0.25)
-	p := New(g, Options{Shards: 4, K: 2, Seed: seed, AuditEvery: 4})
+	p := New(g, Options{Shards: 4, K: 2, Seed: seed, AuditEvery: 4, RestartBackoff: 16, MaxBackoff: 16})
 	defer p.Close()
 	const s = 1
 	slot, sub := p.shards[s], p.SubGraph(s)
@@ -284,8 +286,13 @@ func pinRefusalSchedule(t *testing.T, seed uint64) bool {
 	if err := p.InjectShardFaults(s, nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := p.KillShard(s + 1); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 8 && slot.health == dynamic.Degraded; i++ {
-		p.Apply(nil)
+		if rep := p.Apply(nil); rep.Audited {
+			t.Fatalf("seed %d: pool audited with shard %d down", seed, s+1)
+		}
 		checkPool(t, p, fmt.Sprintf("seed %d heal %d", seed, i))
 	}
 	if slot.health == dynamic.Degraded || slot.pinStale {

@@ -41,6 +41,15 @@ func TestPoolTelemetryEvents(t *testing.T) {
 	if v := reg.Gauge(`shard_restarts{shard="1"}`, "").Value(); v != 1 {
 		t.Fatalf("shard 1 restarts gauge %d, want 1", v)
 	}
+	crossing := 0
+	for v := range p.gmatch {
+		if crossingMatched(p, int32(v)) {
+			crossing++
+		}
+	}
+	if v := reg.Gauge("pool_pinned_nodes", "").Value(); v != int64(crossing) || crossing == 0 {
+		t.Fatalf("pool_pinned_nodes gauge %d, want the %d crossing-matched nodes", v, crossing)
+	}
 	trace := strings.Join(reg.Events().Strings(), "\n")
 	for _, want := range []string{
 		"shard=1 shard_kill a=2",    // killed with backoff 2 charged
