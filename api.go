@@ -207,7 +207,8 @@ const (
 // NewMaintainer builds an incremental matching maintainer over the
 // bipartite slab g: the node set and the universe of candidate edges are
 // fixed, which of them currently exist is mutable state. Each
-// Apply(Batch) repairs only the ≤(2k−1)-hop region the batch could affect,
+// Apply(Batch) repairs only the region the batch could affect — what
+// alternating walks of ≤ 2k−1 edges reach from the touched endpoints —
 // re-running the paper's augmenting-path machinery there with the rest
 // of the matching frozen, and a periodic certificate audit (the Berge
 // probe of VerifyDistributed, run mask-aware on the same persistent

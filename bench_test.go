@@ -9,11 +9,13 @@ package distmatch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"distmatch/internal/core"
 	"distmatch/internal/dist"
+	"distmatch/internal/dynamic"
 	"distmatch/internal/exact"
 	"distmatch/internal/experiments"
 	"distmatch/internal/gen"
@@ -167,6 +169,96 @@ func BenchmarkDynamicRegionRepairActive(b *testing.B) { benchRegionRepair(b, fal
 // BenchmarkDynamicRegionRepairFullSweep is the identical slot stream on
 // the PR-4 schedule (every node stepped every round): cost ∝ n.
 func BenchmarkDynamicRegionRepairFullSweep(b *testing.B) { benchRegionRepair(b, true) }
+
+// ---- Churn stream: one Maintainer on the churn-pool slab ----
+//
+// The slab and stream of bench/run.sh's churn-pool workload, served by a
+// single Maintainer instead of a 4-shard pool: BipartiteGnp(4096, 4096,
+// 4/4096), K=3, 1/32 of the edges deleted first, then balanced slots of
+// 2 deletes + 2 inserts. ns/op is ns per slot, audits (every 16 slots)
+// included; region-nodes/slot is the mean repaired region and
+// full-repairs/slot the share of slots whose region overflowed
+// MaxRegionFrac into a full-graph pass.
+func BenchmarkDynamicChurnStream(b *testing.B) {
+	g := gen.BipartiteGnp(rng.New(101), 4096, 4096, 4.0/4096)
+	mt := NewMaintainer(g, MaintainerOptions{K: 3, Seed: 102})
+	defer mt.Close()
+	mt.Recompute()
+	c := newChurnStream(g.M(), 103)
+	for len(c.sets[0]) < g.M()/32 {
+		mt.Apply(c.batch(32, 0))
+	}
+	for i := 0; i < 64; i++ {
+		mt.Apply(c.batch(2, 2))
+	}
+	base := mt.Totals()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mt.Apply(c.batch(2, 2))
+	}
+	b.StopTimer()
+	tot := mt.Totals()
+	b.ReportMetric(float64(tot.RegionNodes-base.RegionNodes)/float64(b.N), "region-nodes/slot")
+	b.ReportMetric(float64(tot.Recomputes-base.Recomputes)/float64(b.N), "full-repairs/slot")
+}
+
+// churnStream draws balanced churn over a slab's edges: each batch
+// deletes distinct live edges and inserts distinct dead ones, so the
+// live-edge count only moves by the difference.
+type churnStream struct {
+	r    *rng.Rand
+	live []bool
+	pos  []int    // index of each edge in sets[its liveness]
+	sets [2][]int // [0] dead edges, [1] live edges
+}
+
+func newChurnStream(m int, seed uint64) *churnStream {
+	c := &churnStream{r: rng.New(seed), live: make([]bool, m), pos: make([]int, m)}
+	for e := range c.live {
+		c.live[e], c.pos[e] = true, e
+		c.sets[1] = append(c.sets[1], e)
+	}
+	return c
+}
+
+func (c *churnStream) batch(dels, ins int) Batch {
+	var b Batch
+	for _, want := range []struct {
+		n    int
+		op   dynamic.Op
+		from int
+	}{{dels, EdgeDelete, 1}, {ins, EdgeInsert, 0}} {
+		for k := 0; k < want.n; {
+			e := c.sets[want.from][c.r.Intn(len(c.sets[want.from]))]
+			if !slices.ContainsFunc(b, func(u Update) bool { return u.Edge == e }) {
+				b = append(b, Update{Edge: e, Op: want.op})
+				k++
+			}
+		}
+	}
+	for _, u := range b {
+		c.move(u.Edge, u.Op == EdgeInsert)
+	}
+	return b
+}
+
+func (c *churnStream) move(e int, live bool) {
+	from, to := &c.sets[b2i(c.live[e])], &c.sets[b2i(live)]
+	last := (*from)[len(*from)-1]
+	(*from)[c.pos[e]] = last
+	c.pos[last] = c.pos[e]
+	*from = (*from)[:len(*from)-1]
+	c.pos[e] = len(*to)
+	*to = append(*to, e)
+	c.live[e] = live
+}
+
+func b2i(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
+}
 
 // ---- Algorithm-level benchmarks at a fixed mid-size workload ----
 

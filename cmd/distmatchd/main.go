@@ -47,6 +47,9 @@
 //	                                                  recompose/audit barrier
 //	pool_apply_queue_depth                            shard commits in flight on the pipelines
 //	pool_epochs_total                                 stop-the-world audit epochs executed
+//	pool_audit_region_nodes                           nodes in each audit's regional repair
+//	                                                  (the alternating reach of what changed
+//	                                                  since the last certificate)
 //	pool_updates_routed_total, pool_updates_crossing_total,
 //	pool_updates_deferred_total                       routing split of incoming updates
 //	pool_crossing_matched_total                       greedy crossing matches made

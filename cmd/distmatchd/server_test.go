@@ -189,6 +189,7 @@ func TestServerTelemetryEndpoints(t *testing.T) {
 	}
 	for _, series := range []string{
 		"pool_step ", "pool_pinned_nodes ", `shard_up{shard="1"}`, "pool_apply_ns_count",
+		"pool_audit_region_nodes_count",
 		`http_request_ns_count{route="/v1/apply"}`,
 		`http_requests_total{route="/v1/shards/{id}/kill",code="200"}`,
 	} {
@@ -206,7 +207,7 @@ func TestServerTelemetryEndpoints(t *testing.T) {
 			t.Fatalf("event without rendered text: %v", e)
 		}
 	}
-	for _, want := range []string{"shard_kill", "shard_restart", "health"} {
+	for _, want := range []string{"shard_kill", "shard_restart", "health", "repair_region"} {
 		if !kinds[want] {
 			t.Fatalf("/v1/events missing %q after failover; kinds: %v", want, kinds)
 		}

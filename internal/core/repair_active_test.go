@@ -21,18 +21,36 @@ import (
 )
 
 // growBall grows a hop ball around seed over live edges with a mate
-// closure — a test-local twin of the Maintainer's region policy.
+// closure — a test-local twin of a hop-ball region policy — and installs
+// it as r's active set.
 func growBall(r *dist.Runner, matchedEdge []int32, seed int32, hops int) []int32 {
-	r.SetActive([]int32{seed})
-	r.ExpandByHops(hops)
-	members := r.ActiveNodes()
 	g := r.Graph()
-	for _, v := range members {
+	in := make([]bool, g.N())
+	ball := []int32{seed}
+	in[seed] = true
+	start := 0
+	for hop := 0; hop < hops && start < len(ball); hop++ {
+		end := len(ball)
+		for _, v := range ball[start:end] {
+			for p := 0; p < g.Deg(int(v)); p++ {
+				if u := g.NbrAt(int(v), p); r.EdgeLive(g.EdgeAt(int(v), p)) && !in[u] {
+					in[u] = true
+					ball = append(ball, int32(u))
+				}
+			}
+		}
+		start = end
+	}
+	for _, v := range ball[:len(ball):len(ball)] {
 		if me := matchedEdge[v]; me >= 0 {
-			r.ActivateNode(g.Other(int(me), int(v)))
+			if u := g.Other(int(me), int(v)); !in[u] {
+				in[u] = true
+				ball = append(ball, int32(u))
+			}
 		}
 	}
-	return append([]int32(nil), r.ActiveNodes()...)
+	r.SetActive(ball)
+	return ball
 }
 
 // TestRepairActiveSetConformance drives two repair stages (empty-start

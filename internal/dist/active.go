@@ -10,8 +10,9 @@ import (
 // collection, program construction, RNG reseeding, the Runner's
 // between-run mailbox hygiene — then costs O(active), not O(n).
 // This is what makes regional repair on a large slab cost ∝ region
-// (internal/dynamic drives it from the dirty-region ball; see DESIGN.md
-// §1 and §6): the paper's locality guarantee says only a (2k−1)-hop ball
+// (internal/dynamic drives it from the dirty seeds' alternating reach;
+// see DESIGN.md §1 and §6): the paper's locality guarantee says only the
+// nodes a short augmenting path through a changed node can reach
 // must do work after a small update, and the active set is the engine
 // mechanism that stops everyone else from being stepped.
 //
@@ -51,6 +52,11 @@ const (
 type activeSet struct {
 	mask []bool
 	list []int32
+
+	// ExpandAlternating scratch: per-node parity bits of the queued walk
+	// states (allocated on first use, zero between calls) and the states.
+	reach  []uint8
+	states []int32
 }
 
 // add inserts v, reporting whether it was new.
@@ -241,32 +247,70 @@ func (r *Runner) ActivateNode(v int) bool {
 	return eng.active.add(int32(v))
 }
 
-// ExpandByHops grows the active set by h hops of live edges (the edge
-// activation mask of mutable.go; every edge when none is installed): the
-// frontier-growth primitive regional consumers use to turn dirty seeds
-// into the ≤(2k−1)-hop repair ball. Cost is O(volume of the result set)
-// — expansion walks each member's arcs once. Returns the new active
-// count (n when every node is active).
-func (r *Runner) ExpandByHops(h int) int {
+// ExpandAlternating grows the active set along alternating walks of at
+// most h live edges (the edge activation mask of mutable.go; every edge
+// when none is installed) with respect to matchedEdge, the per-node
+// matched edge id (-1 free): from every current member a walk starts
+// with either an unmatched live edge or the member's matched edge, then
+// alternates between the two. Only such walks can become augmenting
+// paths, so this is the frontier-growth primitive regional consumers use
+// to turn dirty seeds into the region a short augmenting path through
+// them can reach. It is a BFS over (node, parity) states, where parity
+// is the kind of edge the walk must take next, and costs O(volume of the
+// result set) — each state walks its node's arcs at most once. Returns
+// the new active count (n when every node is active).
+func (r *Runner) ExpandAlternating(h int, matchedEdge []int32) int {
 	eng := r.check()
 	a := eng.active
 	if a == nil {
 		return eng.n
 	}
+	if len(matchedEdge) != eng.n {
+		panic(fmt.Sprintf("dist: ExpandAlternating matchedEdge length %d != %d nodes", len(matchedEdge), eng.n))
+	}
+	if a.reach == nil {
+		a.reach = make([]uint8, eng.n)
+	}
+	// A state is node<<1 | parity: parity 0 takes an unmatched live edge
+	// next, parity 1 the matched edge. reach[v] holds bit 1<<parity for
+	// every state of v already queued.
+	lv := eng.liveEdge
+	visit := func(u, parity int32) {
+		if a.reach[u]&(1<<parity) != 0 {
+			return
+		}
+		a.reach[u] |= 1 << parity
+		a.states = append(a.states, u<<1|parity)
+		a.add(u)
+	}
+	a.states = a.states[:0]
+	for _, v := range a.list {
+		visit(v, 0)
+		visit(v, 1)
+	}
 	start := 0
-	for hop := 0; hop < h && start < len(a.list); hop++ {
-		end := len(a.list)
-		for li := start; li < end; li++ {
-			nd := &eng.nodes[a.list[li]]
-			lo, hi := nd.base, nd.base+nd.deg
-			for arc := lo; arc < hi; arc++ {
-				if lv := eng.liveEdge; lv != nil && !lv[eng.eid[arc]] {
-					continue
+	for step := 0; step < h && start < len(a.states); step++ {
+		end := len(a.states)
+		for _, s := range a.states[start:end] {
+			v := s >> 1
+			me := matchedEdge[v]
+			if s&1 == 1 {
+				if me >= 0 && (lv == nil || lv[me]) {
+					visit(int32(eng.g.Other(int(me), int(v))), 0)
 				}
-				a.add(eng.nbr[arc])
+				continue
+			}
+			nd := &eng.nodes[v]
+			for arc := nd.base; arc < nd.base+nd.deg; arc++ {
+				if e := eng.eid[arc]; e != me && (lv == nil || lv[e]) {
+					visit(eng.nbr[arc], 1)
+				}
 			}
 		}
 		start = end
+	}
+	for _, s := range a.states {
+		a.reach[s>>1] = 0
 	}
 	return len(a.list)
 }

@@ -16,8 +16,8 @@ package dist
 //   - TestActiveRunnerMailboxShrinkGrow: mailbox state across SetActive
 //     shrink/grow cycles, including undelivered final-segment traffic and
 //     aborted runs — the double-buffer-reuse regression test.
-//   - TestActiveExpandByHops & friends: the frontier-growth API against
-//     a hand-checked reference, live-edge masks included.
+//   - TestActiveExpandAlternating & friends: the frontier-growth API
+//     against a brute-force walk enumeration, live-edge masks included.
 
 import (
 	"reflect"
@@ -423,43 +423,122 @@ func (endlessPoison) OnRound(nd *Node, in []Incoming) bool {
 	return true
 }
 
-// TestActiveExpandByHops checks the frontier-growth primitive against
-// hand-computed balls, including live-edge masks and incremental
-// activation.
-func TestActiveExpandByHops(t *testing.T) {
-	g := gen.Path(10) // 0-1-...-9
+// TestActiveExpandAlternating checks the alternating frontier growth
+// against a brute-force enumeration of every alternating walk, on random
+// bipartite slabs × random matchings × dead edges (matched ones included)
+// × h ∈ {0,…,5}, from seed sets of one to three nodes.
+func TestActiveExpandAlternating(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		r := rng.New(uint64(500 + trial))
+		g := gen.BipartiteGnp(r, 5+r.Intn(8), 5+r.Intn(8), 0.15+0.3*r.Float64())
+		n := g.N()
+		rn := NewRunner(g, Config{})
+		matched := make([]int32, n)
+		for v := range matched {
+			matched[v] = -1
+		}
+		for _, e := range r.Perm(g.M()) {
+			if x, y := g.Endpoints(e); matched[x] < 0 && matched[y] < 0 && r.Intn(10) < 7 {
+				matched[x], matched[y] = int32(e), int32(e)
+			}
+		}
+		for e := 0; e < g.M(); e++ {
+			if r.Intn(5) == 0 {
+				rn.SetEdgeLive(e, false)
+			}
+		}
+		for h := 0; h <= 5; h++ {
+			seeds := make([]int32, 1+r.Intn(3))
+			for i := range seeds {
+				seeds[i] = int32(r.Intn(n))
+			}
+			rn.SetActive(seeds)
+			got := rn.ExpandAlternating(h, matched)
+			want := bruteAlternating(g, rn.EdgeLive, matched, seeds, h)
+			count := 0
+			for v := 0; v < n; v++ {
+				if want[v] {
+					count++
+				}
+				if rn.NodeActive(v) != want[v] {
+					t.Fatalf("trial %d h=%d seeds %v: node %d active %v, reference %v",
+						trial, h, seeds, v, rn.NodeActive(v), want[v])
+				}
+			}
+			if got != count || len(rn.ActiveNodes()) != count {
+				t.Fatalf("trial %d h=%d: returned %d, %d listed, reference %d", trial, h, got, len(rn.ActiveNodes()), count)
+			}
+		}
+		rn.Close()
+	}
+}
+
+// bruteAlternating marks every node on some alternating walk of at most
+// h live edges from a seed, by depth-first enumeration of the walks
+// themselves: the first edge is either kind, and a walk may revisit
+// nodes.
+func bruteAlternating(g *graph.Graph, live func(int) bool, matched []int32, seeds []int32, h int) []bool {
+	out := make([]bool, g.N())
+	var walk func(v, left int, wantMatched bool)
+	walk = func(v, left int, wantMatched bool) {
+		out[v] = true
+		if left == 0 {
+			return
+		}
+		for p := 0; p < g.Deg(v); p++ {
+			e := g.EdgeAt(v, p)
+			if live(e) && (int32(e) == matched[v]) == wantMatched {
+				walk(g.NbrAt(v, p), left-1, !wantMatched)
+			}
+		}
+	}
+	for _, s := range seeds {
+		walk(int(s), h, false)
+		walk(int(s), h, true)
+	}
+	return out
+}
+
+// TestActiveExpandAlternatingPath pins the growth on a hand-checked
+// path, plus incremental activation and the all-active no-op.
+func TestActiveExpandAlternatingPath(t *testing.T) {
+	g := gen.Path(10) // 0-1-...-9, edge i joins i and i+1
 	rn := NewRunner(g, Config{})
 	defer rn.Close()
-
-	rn.SetActive([]int32{0})
-	if got := rn.ExpandByHops(3); got != 4 {
-		t.Fatalf("ExpandByHops(3) from {0} on a path = %d nodes, want 4", got)
+	matched := make([]int32, 10)
+	for v := range matched {
+		matched[v] = -1
 	}
-	for v := 0; v < 10; v++ {
-		if want := v <= 3; rn.NodeActive(v) != want {
+	for _, e := range []int{1, 3, 5} { // matched: 1-2, 3-4, 5-6
+		x, y := g.Endpoints(e)
+		matched[x], matched[y] = int32(e), int32(e)
+	}
+	// From 0 the only walk is 0-1 (unmatched), 1=2 (matched), 2-3, 3=4.
+	rn.SetActive([]int32{0})
+	if got := rn.ExpandAlternating(4, matched); got != 5 {
+		t.Fatalf("ExpandAlternating(4) from {0} = %d nodes, want 5", got)
+	}
+	// From 8, walks leave by 8-7 or 8-9 (both unmatched) and stop: 7's
+	// and 9's next edge would have to be matched, and neither is.
+	rn.SetActive([]int32{8})
+	if got := rn.ExpandAlternating(5, matched); got != 3 {
+		t.Fatalf("ExpandAlternating(5) from {8} = %d nodes, want 3", got)
+	}
+	// Incremental activation adds a seed, and growth restarts from every
+	// member: 3 reaches 2=1 and 4-5, and 7 now takes 7-6=5.
+	rn.ActivateNode(3)
+	if got := rn.ExpandAlternating(2, matched); got != 9 {
+		t.Fatalf("after ActivateNode(3)+ExpandAlternating(2): %d nodes, want 9", got)
+	}
+	for v, want := range []bool{false, true, true, true, true, true, true, true, true, true} {
+		if rn.NodeActive(v) != want {
 			t.Fatalf("node %d active = %v, want %v", v, rn.NodeActive(v), want)
 		}
 	}
-	// A dead edge stops the frontier.
-	rn.SetEdgeLive(g.EdgeBetween(2, 3), false)
-	rn.SetActive([]int32{0})
-	if got := rn.ExpandByHops(5); got != 3 {
-		t.Fatalf("ExpandByHops over a dead edge = %d nodes, want 3 ({0,1,2})", got)
-	}
-	// Incremental activation seeds a new frontier; expanding again grows
-	// the ball around the whole current set.
-	rn.ActivateNode(7)
-	if got := rn.ExpandByHops(1); got != 6 {
-		t.Fatalf("after ActivateNode(7)+ExpandByHops(1): %d nodes, want 6", got)
-	}
-	if !rn.NodeActive(6) || !rn.NodeActive(8) {
-		t.Fatal("hop from node 7 missing a neighbor")
-	}
-	rn.ResetTopology()
-	// Without an active set every node is active and expansion is a no-op.
+	// Without an active set every node is active and growth is a no-op.
 	rn.ClearActive()
-	if got := rn.ExpandByHops(2); got != 10 {
-		t.Fatalf("ExpandByHops with all active = %d, want n", got)
+	if got := rn.ExpandAlternating(2, matched); got != 10 {
+		t.Fatalf("ExpandAlternating with all active = %d, want n", got)
 	}
 	if rn.ActivateNode(3) {
 		t.Fatal("ActivateNode reported an addition with every node active")

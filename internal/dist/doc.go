@@ -54,7 +54,7 @@
 //
 // A run may further be restricted to a node subset (active.go):
 // Config.ActiveSet for one-shot runs, SetActive / ActivateNode /
-// ExpandByHops / ClearActive on a Runner. Inactive nodes execute no
+// ExpandAlternating / ClearActive on a Runner. Inactive nodes execute no
 // program segments, send and receive nothing, and their RNG streams do
 // not advance, so per-round sweep cost — and, on a Runner, per-run reset
 // cost — is O(active), not O(n). A run over an active set is

@@ -33,7 +33,7 @@ type Config struct {
 	// nodes are silent observers (see active.go). Duplicates are ignored;
 	// ids must lie in [0, n); an empty non-nil slice steps no nodes. For
 	// run-to-run control use the Runner mutation API (SetActive,
-	// ExpandByHops, ClearActive) instead.
+	// ExpandAlternating, ClearActive) instead.
 	ActiveSet []int32
 	// Faults installs a deterministic fault schedule the engine applies at
 	// round boundaries (see fault.go): node crashes, in-flight message

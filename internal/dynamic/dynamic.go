@@ -9,10 +9,11 @@
 //
 // The repair policy follows the locality of the paper's machinery: an
 // augmenting path of length ≤ 2k−1 that a batch creates must pass through
-// an endpoint of a touched edge, so re-running the §3.2 phases
-// (core.RepairBipartite) on the ≤(2k−1)-hop neighborhood of the touched
-// endpoints — with the rest of the matching frozen — restores "no short
-// augmenting path" within that region. What regional repair cannot see
+// an endpoint of a touched edge, and both its halves from there are
+// alternating walks, so re-running the §3.2 phases
+// (core.RepairBipartite) on what alternating walks of ≤ 2k−1 edges reach
+// from the touched endpoints — with the rest of the matching frozen —
+// restores "no short augmenting path" within that region. What regional repair cannot see
 // are augmenting paths that cross the frozen boundary; those can only
 // accumulate slowly, and a periodic certificate audit (internal/check's
 // Berge probe, run mask-aware through the same engine) catches them: if

@@ -124,7 +124,7 @@ func TestHealthDrivenTransitions(t *testing.T) {
 		matched[v] = -1
 	}
 	matched[1], matched[4+1] = int32(eid(1, 1)), int32(eid(1, 1))
-	if err := mt.Adopt(matched); err != nil {
+	if err := mt.Adopt(matched, false); err != nil {
 		t.Fatal(err)
 	}
 	if !ValidTransition(prev, mt.Health()) || mt.Health() != Recovering {
@@ -183,5 +183,44 @@ func TestHealthRandomSchedulesNeverSkipCertification(t *testing.T) {
 	}
 	if !sawFault {
 		t.Fatal("no schedule produced a fault; the sweep exercised nothing")
+	}
+}
+
+// TestAdoptVerdictHealth: a certified adoption keeps the Maintainer's
+// health — Healthy stays Healthy and serves the adopted matching, a
+// Recovering one still waits for its own audit — while an uncertified
+// adoption ends Recovering.
+func TestAdoptVerdictHealth(t *testing.T) {
+	mt := New(slab44(), Options{K: 3, Seed: 5})
+	defer mt.Close()
+	mt.Recompute()
+	matched := make([]int32, mt.Graph().N())
+	for v := range matched {
+		matched[v] = -1
+	}
+	for i := 0; i < 4; i++ {
+		matched[i], matched[4+i] = int32(eid(i, i)), int32(eid(i, i))
+	}
+	steps := []struct {
+		certified bool
+		want      Health
+	}{
+		{true, Healthy},     // certified push-back onto a Healthy shard
+		{false, Recovering}, // uncertified push-back
+		{true, Recovering},  // a certified one does not skip the shard's own audit
+	}
+	for i, st := range steps {
+		if err := mt.Adopt(matched, st.certified); err != nil {
+			t.Fatal(err)
+		}
+		if mt.Health() != st.want {
+			t.Fatalf("step %d: Adopt(certified=%v) left health %v, want %v", i, st.certified, mt.Health(), st.want)
+		}
+		if got := mt.Matching().Size(); got != 4 {
+			t.Fatalf("step %d: adopted matching not served: size %d", i, got)
+		}
+	}
+	if rep := mt.Apply(nil); !rep.Audited || !rep.CertificateOK || mt.Health() != Healthy {
+		t.Fatalf("forced audit after the uncertified adoption: %+v, health %v", rep, mt.Health())
 	}
 }

@@ -334,7 +334,8 @@ func (mt *Maintainer) engineLive(e int) bool {
 
 // Apply applies one batch of updates and repairs the matching. The
 // touched region — endpoints of edges whose liveness changed, grown
-// 2K−1 hops over live edges and closed under matching edges — is re-run
+// along alternating walks of 2K−1 live edges and closed under matching
+// edges — is re-run
 // through the paper's phase machinery with the rest frozen; the repair
 // escalates to a full pass when the region stops being local
 // (MaxRegionFrac) and a periodic certificate audit (every AuditEvery
@@ -641,7 +642,7 @@ func (mt *Maintainer) Restore(live []bool, weights []float64, matched []int32) e
 			mt.bumpLiveDeg(y, 1)
 		}
 	}
-	mt.adoptLocked(matched)
+	mt.adoptLocked(matched, false)
 	return nil
 }
 
@@ -650,23 +651,28 @@ func (mt *Maintainer) Restore(live []bool, weights []float64, matched []int32) e
 // repair — the push-back hook of the sharded layer's global
 // conflict-resolution pass: after the pool repairs the composed matching
 // across shard boundaries, each shard adopts its restriction and
-// continues incrementally from it. The Maintainer ends Recovering: the
-// adopted matching is served at once but stays uncertified until its
-// next audit passes (forced on the next Apply).
-func (mt *Maintainer) Adopt(matched []int32) error {
+// continues incrementally from it. certified is the caller's verdict on
+// matched: true when it has no augmenting path of length ≤ 2K−1 on this
+// Maintainer's view — a restriction of a certified composed matching is
+// one, because the view hides every node matched outside the shard
+// (SetPinned). A certified adoption keeps the current health. An
+// uncertified one ends Recovering: the adopted matching is served at
+// once but stays uncertified until its next audit passes (forced on the
+// next Apply).
+func (mt *Maintainer) Adopt(matched []int32, certified bool) error {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
 	if err := validateMatched(mt.g, matched, mt.live); err != nil {
 		return fmt.Errorf("dynamic: Adopt: %v", err)
 	}
-	mt.adoptLocked(matched)
+	mt.adoptLocked(matched, certified)
 	return nil
 }
 
-// adoptLocked installs a validated matching, releases the pins of every
-// node it covers, and resets the recovery state to Recovering-until-
-// audited. Callers hold mt.mu.
-func (mt *Maintainer) adoptLocked(matched []int32) {
+// adoptLocked installs a validated matching and releases the pins of
+// every node it covers; an uncertified matching resets the recovery
+// state to Recovering-until-audited. Callers hold mt.mu.
+func (mt *Maintainer) adoptLocked(matched []int32, certified bool) {
 	pre := mt.health
 	if mt.pinCount > 0 {
 		for v, e := range matched {
@@ -685,7 +691,7 @@ func (mt *Maintainer) adoptLocked(matched []int32) {
 	mt.cachedGood.Store(nil)
 	mt.dirty = mt.dirty[:0]
 	mt.justRecovered = false
-	if mt.g.N() > 0 {
+	if !certified && mt.g.N() > 0 {
 		mt.health = Recovering
 	}
 	if mt.health != pre {
@@ -752,17 +758,19 @@ func (mt *Maintainer) bumpLiveDeg(v int, delta int32) {
 }
 
 // growRegion installs the repair region as the Runner's active set: the
-// ≤(2K−1)-hop ball around the dirty nodes over live edges, closed under
-// matching edges so no frozen node can be separated from its mate.
-// Returns the region size. Cost is O(region volume) — the engine grows
-// the ball from its CSR tables, and the mate closure walks only the
-// region members.
+// nodes reachable from the dirty nodes along alternating walks of at
+// most 2K−1 live edges, closed under matching edges so no frozen node
+// can be separated from its mate. Returns the region size. Cost is
+// O(region volume) — the engine grows the region from its CSR tables,
+// and the mate closure walks only the region members.
 func (mt *Maintainer) growRegion() int {
 	r := mt.r
 	r.SetActive(mt.dirty)
 	// A new augmenting path of length ≤ 2K−1 must pass through a touched
-	// node, so every node of it lies within 2K−1 hops of one.
-	r.ExpandByHops(2*mt.opts.K - 1)
+	// node, and each of its two halves from there is an alternating walk
+	// — starting with the matched edge or an unmatched one, since an
+	// inserted edge can sit mid-path.
+	r.ExpandAlternating(2*mt.opts.K-1, mt.matchedEdge)
 	// Mate closure: a region node matched across the boundary pulls its
 	// mate in (one pass over the pre-closure members suffices — a mate's
 	// mate is the node itself). Snapshot the members first: ActivateNode

@@ -130,7 +130,7 @@ func TestPinnedNodeNeverMatched(t *testing.T) {
 		for v := range empty {
 			empty[v] = -1
 		}
-		if err := mt.Adopt(empty); err != nil {
+		if err := mt.Adopt(empty, false); err != nil {
 			t.Fatal(err)
 		}
 		rep := mt.Audit()
@@ -264,8 +264,9 @@ func TestAdoptRestoreReleaseCoveredPins(t *testing.T) {
 		live[e] = true
 	}
 	for name, install := range map[string]func(mt *Maintainer) error{
-		"adopt":   func(mt *Maintainer) error { return mt.Adopt(matched) },
-		"restore": func(mt *Maintainer) error { return mt.Restore(live, nil, matched) },
+		"adopt":           func(mt *Maintainer) error { return mt.Adopt(matched, false) },
+		"adopt certified": func(mt *Maintainer) error { return mt.Adopt(matched, true) },
+		"restore":         func(mt *Maintainer) error { return mt.Restore(live, nil, matched) },
 	} {
 		mt := New(g, Options{K: 3, Seed: 7})
 		for _, v := range []int{0, 1} {

@@ -21,12 +21,14 @@
 // matching: shard matchings are authoritative on internal edges,
 // crossing matches survive only while both endpoints stay free of
 // internal matches, and a deterministic greedy pass (ascending edge id)
-// matches free-free crossing edges. A periodic pool audit runs the Berge
-// probe over the full live graph; a failed certificate triggers the
-// bounded conflict-resolution repair — a warm full repair of the
-// composed matching — whose result is pushed back into the shards
-// (Maintainer.Adopt), re-entering them into their own
-// Recovering-until-audited ladder.
+// matches free-free crossing edges. A periodic pool audit first repairs
+// the composed matching over the alternating region of every node
+// touched or re-mated since the last certified audit, then runs the
+// Berge probe over the full live graph; only a failed probe falls back
+// to a warm full repair of the composed matching. Repaired restrictions
+// are pushed back into the shards (Maintainer.Adopt): a certified one
+// keeps the shard's health, an uncertified one re-enters the shard into
+// its own Recovering-until-audited ladder.
 //
 // The robustness layer is the supervisor: it consumes each Maintainer's
 // Health after every Apply and asserts dynamic.ValidTransition (a shard

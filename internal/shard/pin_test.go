@@ -102,7 +102,10 @@ func assertPins(t *testing.T, p *Pool, label string) {
 // 1/32 deletion wave, then 400 balanced 2-delete + 2-insert slots. With
 // crossing-matched nodes pinned out of their shards' views, no shard
 // audit ever finds an augmenting path through a node the pool matched
-// across, so no shard recomputes beyond its initial solve.
+// across, so no shard recomputes beyond its initial solve. On the pool
+// side, each audit's regional repair leaves at most a couple of its 50
+// probes failing (without it, 48 failed, with 48 full repairs and 96
+// adopts), and its certified push-backs keep every shard Healthy.
 func TestPoolTugOfWarGone(t *testing.T) {
 	g := gen.BipartiteGnp(rng.New(41), 1024, 1024, 4.0/1024)
 	p := New(g, Options{Shards: 4, K: 3, Seed: 42, AuditEvery: 8})
@@ -112,11 +115,22 @@ func TestPoolTugOfWarGone(t *testing.T) {
 	for len(mir.sets[0]) < g.M()/32 {
 		p.Apply(mir.churn(r, 32, 0))
 	}
+	base := p.Totals()
 	for slot := 0; slot < 400; slot++ {
-		p.Apply(mir.churn(r, 2, 2))
+		rep := p.Apply(mir.churn(r, 2, 2))
 		label := fmt.Sprintf("slot %d", slot)
 		checkPool(t, p, label)
 		assertPins(t, p, label)
+		checkAudit(t, p, rep, label)
+		for s, h := range rep.Healths {
+			if h != dynamic.Healthy {
+				t.Fatalf("%s: shard %d is %v", label, s, h)
+			}
+		}
+	}
+	tot := p.Totals()
+	if audits, failures := tot.Audits-base.Audits, tot.AuditFailures-base.AuditFailures; audits < 50 || failures > 2 {
+		t.Fatalf("pool audits: %d probes, %d failed; want ≥ 50 probes and at most 2 failures", audits, failures)
 	}
 	var audits, failures, recomputes int
 	for _, st := range p.Status() {
@@ -130,8 +144,9 @@ func TestPoolTugOfWarGone(t *testing.T) {
 	}
 }
 
-// TestPoolPinsTrackCrossingMatches checks the pin invariant after every
-// slot of a schedule with kills, restarts and shard faults.
+// TestPoolPinsTrackCrossingMatches checks the pin invariant and the
+// audit contract after every slot of a schedule with kills, restarts and
+// shard faults.
 func TestPoolPinsTrackCrossingMatches(t *testing.T) {
 	g := testSlab(23, 16, 16, 0.3)
 	p := New(g, Options{Shards: 4, K: 2, Seed: 23, AuditEvery: 4})
@@ -152,10 +167,11 @@ func TestPoolPinsTrackCrossingMatches(t *testing.T) {
 		case 24:
 			_ = p.InjectShardFaults(1, nil)
 		}
-		p.Apply(randomPoolBatch(r, g.M(), 5))
+		rep := p.Apply(randomPoolBatch(r, g.M(), 5))
 		label := fmt.Sprintf("step %d", step)
 		checkPool(t, p, label)
 		assertPins(t, p, label)
+		checkAudit(t, p, rep, label)
 	}
 }
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"distmatch/internal/check"
 	"distmatch/internal/dist"
+	"distmatch/internal/graph"
 	"distmatch/internal/telemetry"
 )
 
@@ -136,9 +137,6 @@ func (p *Pool) recomposeCrossingFull(rep *Report) {
 		}
 	}
 	p.crossMatched = crossingMatched
-	if rep != nil {
-		rep.CrossingMatched = crossingMatched
-	}
 	p.emitCrossing(rep, newMatches)
 }
 
@@ -193,9 +191,6 @@ func (p *Pool) resolveCrossing(rep *Report) {
 	if p.tel != nil {
 		p.tel.crossingScanned.Add(int64(scanned))
 		p.tel.crossingCarried.Add(int64(len(p.crossDirty)))
-	}
-	if rep != nil {
-		rep.CrossingMatched = p.crossMatched
 	}
 	p.emitCrossing(rep, newMatches)
 }
@@ -321,26 +316,76 @@ func (p *Pool) Audit() Report {
 	var rep Report
 	rep.Step = p.step
 	if !p.degradedLocked() {
+		p.collectChanges()
 		p.runAudit(&rep)
 		p.wasDegraded = false
+		p.syncPins()
 		p.publishLocked()
 	}
+	rep.CrossingMatched = p.crossMatched
 	rep.Healths, rep.Down = p.healthsLocked()
 	rep.Degraded = p.degradedLocked()
 	p.updateGauges()
 	return rep
 }
 
-// runAudit Berge-probes the composed matching over the full live graph —
-// the pool's stop-the-world epoch: it runs inside the barrier with the
-// mirror lock held, the one phase concurrent commits genuinely wait
-// behind. A failed certificate means short augmenting paths cross shard
-// boundaries — per-shard maintenance can never see them — and triggers
-// the bounded conflict-resolution pass: one warm full repair of the
-// composed matching (the pool's entire cross-shard communication cost,
-// the k-party phase-two budget), a re-probe, and a push-back of every
-// changed shard restriction via Maintainer.Adopt, which re-enters those
-// shards into their own Recovering-until-audited ladder.
+// The audit change set. Lemma: if the composed matching had no
+// augmenting path of length ≤ 2K−1 at the last certified audit, any such
+// path now contains a node touched by a liveness change or re-mated
+// since — otherwise every edge and every mate on it is as it was, and
+// the path was augmenting then. Both halves of the path from that node
+// are alternating walks, so the path lies in the change set's
+// alternating (2K−1)-reach, and a repair over that region removes every
+// such path it can see. The set grows by O(1) per update and per
+// re-mated node: route notes touched endpoints, and collectChanges adds
+// the nodes the pin pass is about to sync — every site that changes a
+// composed entry marks its node for that pass.
+
+// noteChange adds node v to the audit change set (deduplicated).
+func (p *Pool) noteChange(v int) {
+	if p.changeMark[v] {
+		return
+	}
+	p.changeMark[v] = true
+	p.changes = append(p.changes, int32(v))
+}
+
+// collectChanges adds this slot's re-mated nodes — the pin pass's marks —
+// to the change set. It runs in the barrier before the audit, so the
+// audit's own repair, which its certificate covers, is not recorded.
+func (p *Pool) collectChanges() {
+	for _, slot := range p.shards {
+		for _, v := range slot.pinDirty {
+			p.noteChange(int(v))
+		}
+	}
+}
+
+// clearChanges empties the change set and records whether the audit
+// that cleared it ended certified — whether the set is complete again.
+func (p *Pool) clearChanges(certified bool) {
+	for _, v := range p.changes {
+		p.changeMark[v] = false
+	}
+	p.changes = p.changes[:0]
+	p.changesComplete = certified
+}
+
+// runAudit certifies the composed matching — the pool's stop-the-world
+// epoch: it runs inside the barrier with the mirror lock held, the one
+// phase concurrent commits genuinely wait behind. Short augmenting paths
+// that cross shard boundaries are invisible to per-shard maintenance;
+// they are the pool's to remove, and its repairs are the pool's entire
+// cross-shard communication cost (the k-party phase-two budget).
+//
+// With a complete change set the audit first repairs the composed
+// matching over the set's alternating region (repairRegion), then runs
+// the full-graph Berge probe once. Only a failed probe — or a missing
+// certified base, after New or an uncertified audit — takes the
+// fallback: one warm full repair, a probe, and a push-back of every
+// changed shard restriction. AuditFailures counts audits whose first
+// probe failed: the probe after the regional repair, or the fallback's
+// probe when there was no certified base.
 func (p *Pool) runAudit(rep *Report) {
 	probe := 2*p.opts.K - 1
 	rep.Audited = true
@@ -349,7 +394,7 @@ func (p *Pool) runAudit(rep *Report) {
 		p.tel.epochs.Add(1)
 	}
 	// The pool audit event carries runAudit's whole resolver cost —
-	// probes plus any conflict repair, i.e. the slot's entire cross-shard
+	// repairs plus probes, i.e. the slot's entire cross-shard
 	// communication bill. Engine costs are deterministic, so the record
 	// replays bit-identically.
 	preRounds, preMsgs := p.totals.Rounds, p.totals.Messages
@@ -360,37 +405,34 @@ func (p *Pool) runAudit(rep *Report) {
 		}
 		p.emit(rep.Step, kind, -1, p.totals.Rounds-preRounds, p.totals.Messages-preMsgs)
 	}
-	r, st := p.probe(probe)
-	p.addCost(st)
-	if !r.Valid {
-		panic("shard: pool audit found an inconsistent composed matching (pool invariant broken)")
+	regional := p.changesComplete
+	if regional {
+		p.repairRegion(rep.Step)
+		if p.certify(probe) {
+			rep.CertificateOK = true
+			emitVerdict(true)
+			p.adoptBack(true, rep.Step)
+			p.clearChanges(true)
+			return
+		}
+		p.totals.AuditFailures++
+		p.totals.Audits++ // the fallback probes again
 	}
-	if r.ShortestAug == -1 {
-		rep.CertificateOK = true
-		p.certified = true
-		emitVerdict(true)
-		return
-	}
-	p.totals.AuditFailures++
 	p.totals.Repairs++
-	before := p.shardRestrictions()
-	st = p.repairer.Repair(p.nextSeed(), nil)
-	p.addCost(st)
+	p.resolver.ClearActive()
+	p.addCost(p.repairer.Repair(p.nextSeed(), nil))
 	// The repair rewrote the composed matching wholesale: restore the
 	// crossing counter by scan and re-examine the whole crossing set on
 	// the next slot — exactly what a per-slot full scan would.
 	p.recountCrossing()
 	p.markAllCross()
-	r, st = p.probe(probe)
-	p.totals.Audits++
-	p.addCost(st)
-	if !r.Valid {
-		panic("shard: post-repair audit found an inconsistent composed matching")
+	ok := p.certify(probe)
+	if !regional && !ok {
+		p.totals.AuditFailures++
 	}
-	rep.CertificateOK = r.ShortestAug == -1
-	p.certified = rep.CertificateOK
-	emitVerdict(false)
-	p.adoptBack(before, rep.Step)
+	rep.CertificateOK = ok
+	emitVerdict(ok && !regional) // the first probe's verdict
+	p.adoptBack(ok, rep.Step)
 	// The repair may have moved any crossing match: resync every shard's
 	// pins — O(n), like the repair itself.
 	for _, slot := range p.shards {
@@ -398,28 +440,81 @@ func (p *Pool) runAudit(rep *Report) {
 			p.resyncPins(slot)
 		}
 	}
+	p.clearChanges(ok)
 }
 
-// probe runs the full-sweep Berge probe through the resolver runner.
-func (p *Pool) probe(probeLen int) (check.Report, *dist.Stats) {
-	p.resolver.ClearActive()
-	return check.MatchingOnRunner(p.resolver, p.gmatch, probeLen, p.nextSeed())
-}
-
-// shardRestrictions snapshots each up shard's internal restriction of
-// the composed matching (local matched-edge form), so adoptBack can
-// push back only what the repair actually changed.
-func (p *Pool) shardRestrictions() [][]int32 {
-	out := make([][]int32, len(p.shards))
-	for s, slot := range p.shards {
-		if !slot.up {
+// repairRegion runs the pool's repairer over the alternating
+// (2K−1)-reach of the change set, closed under mates, with the resolver
+// stepping only that region. Every composed entry the repair changes is
+// folded back incrementally: the crossing counter, the dirty crossing
+// edges and the pin pass (markNodeCross). O(region volume).
+func (p *Pool) repairRegion(step int) {
+	r := p.resolver
+	r.SetActive(p.changes)
+	r.ExpandAlternating(2*p.opts.K-1, p.gmatch)
+	// Mate closure: one pass over the pre-closure members suffices (a
+	// mate's mate is the node itself). ActivateNode appends to the set,
+	// so the view is re-read at every step.
+	for i, n := 0, r.ActiveCount(); i < n; i++ {
+		v := r.ActiveNodes()[i]
+		if me := p.gmatch[v]; me >= 0 {
+			r.ActivateNode(p.g.Other(int(me), int(v)))
+		}
+	}
+	region := r.ActiveNodes()
+	p.regionOld = p.regionOld[:0]
+	for _, v := range region {
+		p.regionOld = append(p.regionOld, p.gmatch[v])
+	}
+	if len(region) > 0 {
+		p.addCost(p.repairer.Repair(p.nextSeed(), r.ActiveMask()))
+	}
+	remated := 0
+	for i, v := range region {
+		old, nw := p.regionOld[i], p.gmatch[v]
+		if old == nw {
 			continue
 		}
-		out[s] = p.restrictionOf(slot)
+		remated++
+		// Both endpoints of a dissolved or new crossing match are in the
+		// region and both change: count each edge at its first endpoint.
+		if old >= 0 && p.edgeShard[old] < 0 && p.firstEnd(old, v) {
+			p.crossMatched--
+		}
+		if nw >= 0 && p.edgeShard[nw] < 0 && p.firstEnd(nw, v) {
+			p.crossMatched++
+		}
+		p.markNodeCross(int(v))
 	}
-	return out
+	if p.tel != nil {
+		p.tel.auditRegion.Observe(int64(len(region)))
+	}
+	p.emit(step, telemetry.EventRepairRegion, -1, int64(len(region)), int64(remated))
+	r.ClearActive()
 }
 
+// firstEnd reports whether v is edge e's first endpoint.
+func (p *Pool) firstEnd(e, v int32) bool {
+	x, _ := p.g.Endpoints(int(e))
+	return x == int(v)
+}
+
+// certify runs the full-graph Berge probe on the composed matching
+// through the resolver runner and records the verdict as the pool's
+// certified state.
+func (p *Pool) certify(probeLen int) bool {
+	p.resolver.ClearActive()
+	r, st := check.MatchingOnRunner(p.resolver, p.gmatch, probeLen, p.nextSeed())
+	p.addCost(st)
+	if !r.Valid {
+		panic("shard: pool audit found an inconsistent composed matching (pool invariant broken)")
+	}
+	p.certified = r.ShortestAug == -1
+	return p.certified
+}
+
+// restrictionOf returns the slot's internal restriction of the composed
+// matching in local matched-edge form.
 func (p *Pool) restrictionOf(slot *shardSlot) []int32 {
 	matched := make([]int32, slot.sub.N())
 	for lv, gv := range slot.nodes {
@@ -431,22 +526,28 @@ func (p *Pool) restrictionOf(slot *shardSlot) []int32 {
 	return matched
 }
 
-// adoptBack pushes the post-repair restriction into every up shard the
-// repair changed. A restriction of a valid composed matching is always
-// a consistent local matching on the shard's live sub-slab, so Adopt
-// cannot fail; the shard serves it immediately and re-certifies through
-// its own forced audit on the next Apply. Adopted shards are marked for
+// adoptBack pushes the repaired restriction into every up shard whose
+// served matching it no longer equals. Before the audit the two agree —
+// recompose takes shard matchings as authoritative on internal edges,
+// and audits run only while no shard serves a stale snapshot — so these
+// are exactly the shards the audit's repairs changed. A restriction of a
+// valid composed matching is always a consistent local matching on the
+// shard's live sub-slab, so Adopt cannot fail. certified is the final
+// probe's verdict: a restriction of a certified composed matching is
+// certified on the shard's view (its live subgraph minus its pins), so
+// the shard keeps its health; an uncertified push-back sends it to
+// Recovering until its own forced audit. Adopted shards are marked for
 // rescan — their served matching just changed under the pool.
-func (p *Pool) adoptBack(before [][]int32, step int) {
+func (p *Pool) adoptBack(certified bool, step int) {
 	for s, slot := range p.shards {
-		if !slot.up || before[s] == nil {
+		if !slot.up {
 			continue
 		}
 		after := p.restrictionOf(slot)
-		if int32sEqual(before[s], after) {
+		if servesRestriction(slot.mt.Matching(), after) {
 			continue
 		}
-		if err := slot.mt.Adopt(after); err != nil {
+		if err := slot.mt.Adopt(after, certified); err != nil {
 			panic("shard: push-back of a repaired restriction failed: " + err.Error())
 		}
 		slot.dirty = true
@@ -459,12 +560,11 @@ func (p *Pool) adoptBack(before [][]int32, step int) {
 	}
 }
 
-func int32sEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+// servesRestriction reports whether the shard matching m assigns every
+// local node the edge in matched.
+func servesRestriction(m *graph.Matching, matched []int32) bool {
+	for lv, le := range matched {
+		if m.MatchedEdge(lv) != int(le) {
 			return false
 		}
 	}

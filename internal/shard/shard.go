@@ -115,8 +115,8 @@ type Report struct {
 	Healths []dynamic.Health
 	Down    []bool
 	// Audited and CertificateOK report the pool conflict audit, and
-	// CrossingMatched the crossing edges in the composed matching after
-	// resolution.
+	// CrossingMatched the crossing edges in the composed matching this
+	// slot publishes (after crossing resolution and any audit repair).
 	Audited         bool
 	CertificateOK   bool
 	CrossingMatched int
@@ -173,9 +173,9 @@ type Stats struct {
 	Kills           int   // scheduled kills (KillPlan or KillShard)
 	Crashes         int   // shards lost to panics or illegal transitions
 	Restarts        int   // completed rebuilds
-	Audits          int   // pool conflict audits
-	AuditFailures   int   // audits that found a short augmenting path
-	Repairs         int   // conflict-resolution repairs
+	Audits          int   // pool Berge probes (two when an audit's regional probe fails)
+	AuditFailures   int   // audits whose first probe found a short augmenting path (see runAudit)
+	Repairs         int   // warm full conflict repairs
 	Adopts          int   // shard push-backs after a repair
 	CrossingMatched int64 // crossing matches added by greedy resolution
 	Rounds          int64 // resolver engine rounds
@@ -284,6 +284,17 @@ type Pool struct {
 
 	pinMark []bool // node queued on its shard's pinDirty list
 
+	// The audit change set (resolve.go): every node touched by a
+	// liveness change or re-mated since the last audit that ended
+	// certified, deduplicated by changeMark. changesComplete reports
+	// that such an audit exists, so the set covers everything since it.
+	// regionOld is the regional repair's scratch: the region's composed
+	// entries before the repair.
+	changeMark      []bool
+	changes         []int32
+	changesComplete bool
+	regionOld       []int32
+
 	shards []*shardSlot
 
 	// The pool's authoritative mirror: global liveness, weights (held by
@@ -341,18 +352,19 @@ func New(g *graph.Graph, opts Options) *Pool {
 	}
 	opts = opts.withDefaults()
 	p := &Pool{
-		g:         g,
-		opts:      opts,
-		owner:     make([]int32, g.N()),
-		localNode: make([]int32, g.N()),
-		edgeShard: make([]int32, g.M()),
-		localEdge: make([]int32, g.M()),
-		live:      make([]bool, g.M()),
-		gmatch:    make([]int32, g.N()),
-		pinMark:   make([]bool, g.N()),
-		resolver:  dist.NewRunner(g, dist.Config{Workers: opts.Workers}),
-		seedBase:  rng.ForkSeed(opts.Seed, 0x9e3779b97f4a7c15),
-		clients:   make(map[string]*clientRec),
+		g:          g,
+		opts:       opts,
+		owner:      make([]int32, g.N()),
+		localNode:  make([]int32, g.N()),
+		edgeShard:  make([]int32, g.M()),
+		localEdge:  make([]int32, g.M()),
+		live:       make([]bool, g.M()),
+		gmatch:     make([]int32, g.N()),
+		pinMark:    make([]bool, g.N()),
+		changeMark: make([]bool, g.N()),
+		resolver:   dist.NewRunner(g, dist.Config{Workers: opts.Workers}),
+		seedBase:   rng.ForkSeed(opts.Seed, 0x9e3779b97f4a7c15),
+		clients:    make(map[string]*clientRec),
 	}
 	for v := range p.gmatch {
 		p.gmatch[v] = -1
@@ -588,7 +600,9 @@ func (p *Pool) apply(client string, seq uint64, b dynamic.Batch) Report {
 	p.mu.Lock()
 	p.observeHealth(crashed, reps, step, &rep)
 	p.recompose(&rep)
+	p.collectChanges()
 	p.maybeAudit(&rep)
+	rep.CrossingMatched = p.crossMatched
 	p.syncPins()
 	rep.Healths, rep.Down = p.healthsLocked()
 	rep.Degraded = p.degradedLocked()
@@ -637,19 +651,13 @@ func (p *Pool) route(b dynamic.Batch, rep *Report) {
 			if !p.live[e] {
 				p.live[e] = true
 				p.resolver.SetEdgeLive(e, true)
-				p.certified = false
-				if p.edgeShard[e] < 0 {
-					p.markCross(int32(e))
-				}
+				p.touched(e)
 			}
 		case dynamic.Delete:
 			if p.live[e] {
 				p.live[e] = false
 				p.resolver.SetEdgeLive(e, false)
-				p.certified = false
-				if p.edgeShard[e] < 0 {
-					p.markCross(int32(e))
-				}
+				p.touched(e)
 				x, y := p.g.Endpoints(e)
 				if p.gmatch[x] == int32(e) {
 					// The composed matching must stay valid on the
@@ -684,6 +692,19 @@ func (p *Pool) route(b dynamic.Batch, rep *Report) {
 			p.totals.Deferred++
 		}
 	}
+}
+
+// touched records a liveness change of edge e: the pool is uncertified,
+// a crossing edge is queued for resolution, and both endpoints join the
+// audit change set.
+func (p *Pool) touched(e int) {
+	p.certified = false
+	if p.edgeShard[e] < 0 {
+		p.markCross(int32(e))
+	}
+	x, y := p.g.Endpoints(e)
+	p.noteChange(x)
+	p.noteChange(y)
 }
 
 // commitShards runs every up shard's local batch through the per-shard

@@ -26,6 +26,8 @@ type poolTel struct {
 	commitNS  *telemetry.Histogram // phase 2: the concurrent per-shard commits
 	barrierNS *telemetry.Histogram // phase 3: observe + recompose + audit + publish
 
+	auditRegion *telemetry.Histogram // nodes in each audit's regional repair
+
 	routed          *telemetry.Counter
 	crossing        *telemetry.Counter
 	deferred        *telemetry.Counter
@@ -59,6 +61,7 @@ func newPoolTel(reg *telemetry.Registry, shards int) *poolTel {
 		routeNS:         reg.Histogram("pool_route_ns", "wall-clock duration of the routing critical section"),
 		commitNS:        reg.Histogram("pool_commit_ns", "wall-clock duration of the concurrent shard-commit phase"),
 		barrierNS:       reg.Histogram("pool_barrier_ns", "wall-clock duration of the recompose/audit barrier"),
+		auditRegion:     reg.Histogram("pool_audit_region_nodes", "nodes in each pool audit's regional repair"),
 		routed:          reg.Counter("pool_updates_routed_total", "updates routed to up shards"),
 		crossing:        reg.Counter("pool_updates_crossing_total", "updates touching pool-owned crossing edges"),
 		deferred:        reg.Counter("pool_updates_deferred_total", "updates deferred to the mirror (owner down)"),

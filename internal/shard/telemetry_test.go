@@ -18,8 +18,9 @@ func telPool(t *testing.T, opts Options) (*Pool, *telemetry.Registry) {
 	return New(testSlab(3, 16, 16, 0.3), opts), reg
 }
 
-// TestPoolTelemetryEvents drives a kill/restart cycle and checks the
-// trace records and gauges line up with the supervisor state.
+// TestPoolTelemetryEvents drives a kill/restart cycle and then a
+// regional audit, and checks the trace records, gauges and histograms
+// line up with the supervisor and audit state.
 func TestPoolTelemetryEvents(t *testing.T) {
 	p, reg := telPool(t, Options{Shards: 4, Seed: 5, RestartBackoff: 2})
 	defer p.Close()
@@ -50,12 +51,33 @@ func TestPoolTelemetryEvents(t *testing.T) {
 	if v := reg.Gauge("pool_pinned_nodes", "").Value(); v != int64(crossing) || crossing == 0 {
 		t.Fatalf("pool_pinned_nodes gauge %d, want the %d crossing-matched nodes", v, crossing)
 	}
+	// The restart slot's forced audit builds the certified base with a
+	// full repair; the next periodic audit repairs regionally.
+	regions := reg.Histogram("pool_audit_region_nodes", "")
+	for i := 0; i < 8 && regions.Count() == 0; i++ {
+		p.Apply(randomPoolBatch(r, p.g.M(), 8))
+	}
+	var regionEvents, regionNodes int64
+	for _, e := range reg.Events().Tail(0) {
+		if e.Kind == telemetry.EventRepairRegion {
+			regionEvents++
+			regionNodes += e.A
+			if e.Shard != -1 || e.A <= 0 || e.B < 0 || e.B > e.A {
+				t.Fatalf("malformed regional repair record %v", e)
+			}
+		}
+	}
+	if regionEvents == 0 || regions.Count() != regionEvents || regions.Sum() != regionNodes {
+		t.Fatalf("pool_audit_region_nodes count %d sum %d; trace has %d repair_region records over %d nodes",
+			regions.Count(), regions.Sum(), regionEvents, regionNodes)
+	}
 	trace := strings.Join(reg.Events().Strings(), "\n")
 	for _, want := range []string{
 		"shard=1 shard_kill a=2",    // killed with backoff 2 charged
 		"shard=1 shard_backoff a=4", // backoff doubled
 		"shard=1 shard_restart a=1", // first rebuild
 		"shard=1 health a=0 b=2",    // Healthy → Recovering after restore
+		"shard=-1 repair_region",    // the regional audit repair
 	} {
 		if !strings.Contains(trace, want) {
 			t.Fatalf("trace missing %q:\n%s", want, trace)

@@ -48,6 +48,10 @@ const (
 	// EventAdopt: the pool pushed a repaired restriction back into the
 	// scoped shard.
 	EventAdopt
+	// EventRepairRegion: the pool's audit repaired the composed matching
+	// over the alternating region of what changed since its last
+	// certificate. A = region nodes, B = nodes re-mated.
+	EventRepairRegion
 )
 
 func (k EventKind) String() string {
@@ -78,6 +82,8 @@ func (k EventKind) String() string {
 		return "crossing"
 	case EventAdopt:
 		return "adopt"
+	case EventRepairRegion:
+		return "repair_region"
 	}
 	return fmt.Sprintf("kind%d", uint8(k))
 }
