@@ -65,11 +65,10 @@ func TestChaosSchedules(t *testing.T) {
 		len(seeds), faults, degraded, recovering, crashed)
 }
 
-// TestChaosBackendsBitIdentical replays schedules against the committed
-// digests: the full Result — slot-by-slot history included — must match
-// bit for bit, faults and all. The digests were recorded while the
-// retired coroutine backend and the machines produced identical Results.
-func TestChaosBackendsBitIdentical(t *testing.T) {
+// TestChaosDigest replays schedules against the committed digests: the
+// full Result — slot-by-slot history included — must match bit for bit,
+// faults and all.
+func TestChaosDigest(t *testing.T) {
 	tab := golden.Open(t, "chaos")
 	for seed := uint64(0); seed < 25; seed++ {
 		res, err := Run(Config{Seed: seed})

@@ -98,13 +98,11 @@ func TestShardChaosEventTrace(t *testing.T) {
 	t.Fatal("no schedule in the sample killed a shard; widen the sample")
 }
 
-// TestShardChaosBackendsBitIdentical replays shard schedules at the
-// default and at 4 workers against the committed digests: the full
-// ShardResult — slot-by-slot history and event trace included — must
-// match bit for bit. The digests were recorded while the retired
-// coroutine backend, the machines, and the retired inline-commit pool
-// write path all produced identical results.
-func TestShardChaosBackendsBitIdentical(t *testing.T) {
+// TestShardChaosDigest replays shard schedules at the default and at 4
+// workers against the committed digests: the full ShardResult —
+// slot-by-slot history and event trace included — must match bit for
+// bit.
+func TestShardChaosDigest(t *testing.T) {
 	tab := golden.Open(t, "shard_chaos")
 	for seed := uint64(0); seed < 8; seed++ {
 		key := fmt.Sprintf("seed=%d", seed)
