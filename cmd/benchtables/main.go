@@ -31,12 +31,14 @@ func main() {
 		"E7": experiments.E7Quarter, "E8": experiments.E8Baselines,
 		"E9": experiments.E9Switch, "E10": experiments.E10MessageBits,
 		"E11": experiments.E11LocalSearch, "E12": experiments.E12Trees,
+		"E13": experiments.E13Variance, "E14": experiments.E14Dynamic,
+		"E15": experiments.E15Region,
 	}
 	var tables []*stats.Table
 	if *only != "" {
 		gen, ok := gens[strings.ToUpper(*only)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (E1..E11)\n", *only)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (E1..E15)\n", *only)
 			os.Exit(2)
 		}
 		tables = append(tables, gen(cfg))

@@ -334,13 +334,12 @@ func (mt *Maintainer) engineLive(e int) bool {
 
 // Apply applies one batch of updates and repairs the matching. The
 // touched region — endpoints of edges whose liveness changed, grown
-// along alternating walks of 2K−1 live edges and closed under matching
-// edges — is re-run
-// through the paper's phase machinery with the rest frozen; the repair
-// escalates to a full pass when the region stops being local
-// (MaxRegionFrac) and a periodic certificate audit (every AuditEvery
-// applies) recomputes whenever a short augmenting path survived
-// globally, keeping audited states (1−1/K)-approximate.
+// along alternating walks of up to 2K−1 live edges and closed under
+// matching edges — is re-run through the paper's phase machinery with
+// the rest frozen; the repair escalates to a full pass when the region
+// stops being local (MaxRegionFrac) and a periodic certificate audit
+// (every AuditEvery applies) recomputes whenever a short augmenting path
+// survived globally, keeping audited states (1−1/K)-approximate.
 func (mt *Maintainer) Apply(b Batch) ApplyReport {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()

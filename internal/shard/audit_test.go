@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"distmatch/internal/dynamic"
@@ -9,11 +10,18 @@ import (
 	"distmatch/internal/rng"
 )
 
-// checkAudit asserts the per-slot audit contract: the report's crossing
-// count is the published matching's, the change set is deduplicated and
-// bounded by n, and an audit leaves it empty, complete exactly when the
-// audit certified.
-func checkAudit(t *testing.T, p *Pool, rep Report, label string) {
+// auditChecker asserts the per-slot audit contract: the report's
+// crossing count is the published matching's, the change set is
+// deduplicated and bounded by n, an audit leaves it empty and complete
+// exactly when the audit certified, and between audits it holds every
+// node whose composed entry or incident liveness changed since the last
+// certified one.
+type auditChecker struct {
+	gmatch []int32 // composed matching after the last certified audit
+	live   []bool  // liveness after it
+}
+
+func (c *auditChecker) check(t *testing.T, p *Pool, rep Report, label string) {
 	t.Helper()
 	m := p.Query().Matching
 	crossing := 0
@@ -33,9 +41,27 @@ func checkAudit(t *testing.T, p *Pool, rep Report, label string) {
 			t.Fatalf("%s: change set lists unmarked node %d", label, v)
 		}
 	}
-	if rep.Audited && (len(p.changes) != 0 || p.changesComplete != rep.CertificateOK) {
-		t.Fatalf("%s: after the audit the change set holds %d nodes, complete %v, certified %v",
-			label, len(p.changes), p.changesComplete, rep.CertificateOK)
+	if rep.Audited {
+		if len(p.changes) != 0 || p.changesComplete != rep.CertificateOK {
+			t.Fatalf("%s: after the audit the change set holds %d nodes, complete %v, certified %v",
+				label, len(p.changes), p.changesComplete, rep.CertificateOK)
+		}
+		c.gmatch = append(c.gmatch[:0], p.gmatch...)
+		c.live = append(c.live[:0], p.live...)
+		return
+	}
+	if !p.changesComplete || c.gmatch == nil {
+		return
+	}
+	for v, e := range p.gmatch {
+		if e != c.gmatch[v] && !p.changeMark[v] {
+			t.Fatalf("%s: node %d was re-mated since the last certificate but is not in the change set", label, v)
+		}
+	}
+	for e, live := range p.live {
+		if x, y := p.g.Endpoints(e); live != c.live[e] && !(p.changeMark[x] && p.changeMark[y]) {
+			t.Fatalf("%s: edge %d changed liveness but its endpoints are not both in the change set", label, e)
+		}
 	}
 }
 
@@ -53,6 +79,7 @@ func TestPoolAuditFallback(t *testing.T) {
 	for len(mir.sets[0]) < g.M()/32 {
 		p.Apply(mir.churn(r, 32, 0))
 	}
+	var ac auditChecker
 	fallbacks := 0
 	for slot := 0; slot < 160 && fallbacks == 0; slot++ {
 		before := p.Totals()
@@ -64,7 +91,7 @@ func TestPoolAuditFallback(t *testing.T) {
 		p.SetCommitTestHook(nil)
 		label := fmt.Sprintf("slot %d", slot)
 		checkPool(t, p, label)
-		checkAudit(t, p, rep, label)
+		ac.check(t, p, rep, label)
 		if rep.Audited != due {
 			t.Fatalf("%s: audited %v, want %v", label, rep.Audited, due)
 		}
@@ -147,19 +174,23 @@ func TestPoolRecertifiesAfterKillStretch(t *testing.T) {
 	for slot := 0; slot < 40; slot++ {
 		p.Apply(mir.churn(r, 2, 2))
 	}
-	if !p.changesComplete {
-		t.Fatal("warm-up ended without a certified audit")
-	}
+	// With no certified base after New, the first audit runs the warm
+	// full repair before its probe; every later one repairs regionally.
 	base := p.Totals()
+	if !p.changesComplete || base.Repairs != 1 || base.AuditFailures != 0 {
+		t.Fatalf("warm-up: change set complete %v, %d full repairs, %d failed audits; want true, 1, 0",
+			p.changesComplete, base.Repairs, base.AuditFailures)
+	}
 	if err := p.KillShard(2); err != nil {
 		t.Fatal(err)
 	}
+	var ac auditChecker
 	recertified := false
 	for slot := 0; slot < 12 && !recertified; slot++ {
 		rep := p.Apply(mir.churn(r, 2, 2))
 		label := fmt.Sprintf("slot %d", slot)
 		checkPool(t, p, label)
-		checkAudit(t, p, rep, label)
+		ac.check(t, p, rep, label)
 		if rep.Degraded && rep.Audited {
 			t.Fatalf("%s: audited while degraded", label)
 		}
@@ -171,5 +202,43 @@ func TestPoolRecertifiesAfterKillStretch(t *testing.T) {
 	if tot := p.Totals(); tot.AuditFailures != base.AuditFailures || tot.Repairs != base.Repairs {
 		t.Fatalf("re-certification fell back: audit failures %d → %d, full repairs %d → %d",
 			base.AuditFailures, tot.AuditFailures, base.Repairs, tot.Repairs)
+	}
+}
+
+// TestPoolForcedAuditSyncsPins: an Audit call between slots repairs
+// regionally like a periodic one, so it must leave the pins, the
+// reported crossing count and the change set as consistent as the
+// barrier does.
+func TestPoolForcedAuditSyncsPins(t *testing.T) {
+	g := gen.BipartiteGnp(rng.New(61), 256, 256, 4.0/256)
+	p := New(g, Options{Shards: 4, K: 3, Seed: 62, AuditEvery: -1})
+	defer p.Close()
+	mir := newChurnMirror(g.M())
+	r := rng.New(63)
+	for len(mir.sets[0]) < g.M()/32 {
+		p.Apply(mir.churn(r, 32, 0))
+	}
+	var ac auditChecker
+	remated := false
+	for slot := 0; slot < 60; slot++ {
+		rep := p.Apply(mir.churn(r, 2, 2))
+		label := fmt.Sprintf("slot %d", slot)
+		ac.check(t, p, rep, label)
+		if slot%4 != 3 {
+			continue
+		}
+		before := append([]int32(nil), p.gmatch...)
+		rep = p.Audit()
+		label += " audit"
+		if !rep.Audited || !rep.CertificateOK {
+			t.Fatalf("%s: forced audit %+v", label, rep)
+		}
+		checkPool(t, p, label)
+		assertPins(t, p, label)
+		ac.check(t, p, rep, label)
+		remated = remated || !slices.Equal(before, p.gmatch)
+	}
+	if !remated {
+		t.Fatal("no forced audit re-mated a node; the pin check is vacuous")
 	}
 }

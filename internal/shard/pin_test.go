@@ -116,12 +116,13 @@ func TestPoolTugOfWarGone(t *testing.T) {
 		p.Apply(mir.churn(r, 32, 0))
 	}
 	base := p.Totals()
+	var ac auditChecker
 	for slot := 0; slot < 400; slot++ {
 		rep := p.Apply(mir.churn(r, 2, 2))
 		label := fmt.Sprintf("slot %d", slot)
 		checkPool(t, p, label)
 		assertPins(t, p, label)
-		checkAudit(t, p, rep, label)
+		ac.check(t, p, rep, label)
 		for s, h := range rep.Healths {
 			if h != dynamic.Healthy {
 				t.Fatalf("%s: shard %d is %v", label, s, h)
@@ -157,6 +158,7 @@ func TestPoolPinsTrackCrossingMatches(t *testing.T) {
 		{Step: 17, Shard: 3, Kind: Kill},
 	}))
 	r := rng.New(29)
+	var ac auditChecker
 	for step := 0; step < 60; step++ {
 		switch step {
 		case 8:
@@ -171,7 +173,7 @@ func TestPoolPinsTrackCrossingMatches(t *testing.T) {
 		label := fmt.Sprintf("step %d", step)
 		checkPool(t, p, label)
 		assertPins(t, p, label)
-		checkAudit(t, p, rep, label)
+		ac.check(t, p, rep, label)
 	}
 }
 

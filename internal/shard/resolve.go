@@ -316,7 +316,6 @@ func (p *Pool) Audit() Report {
 	var rep Report
 	rep.Step = p.step
 	if !p.degradedLocked() {
-		p.collectChanges()
 		p.runAudit(&rep)
 		p.wasDegraded = false
 		p.syncPins()
