@@ -174,7 +174,7 @@ type Stats struct {
 	Crashes         int   // shards lost to panics or illegal transitions
 	Restarts        int   // completed rebuilds
 	Audits          int   // pool Berge probes (two when an audit's regional probe fails)
-	AuditFailures   int   // audits whose first probe found a short augmenting path (see runAudit)
+	AuditFailures   int   // audits whose probe still failed after the regional repair (after the full one with no certified base)
 	Repairs         int   // warm full conflict repairs
 	Adopts          int   // shard push-backs after a repair
 	CrossingMatched int64 // crossing matches added by greedy resolution
